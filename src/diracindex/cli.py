@@ -1,8 +1,9 @@
 """Command-line surface: verification runs, sweeps, and algebra checks.
 
 Exit codes: 0 everything verified, 1 a verification failed, 2 usage or
-argument validation, 3 numerical ambiguity (no clean zero/nonzero split),
-4 curvature file error.  Human-readable tables go to stdout; --format json
+argument validation or an output path (--out, --csv) that cannot be
+written, 3 numerical ambiguity (no clean zero/nonzero split), 4 curvature
+file error.  Human-readable tables go to stdout; --format json
 swaps in the deterministic report rendering (timings stay out of JSON).
 """
 
@@ -66,13 +67,9 @@ def _print_report(report, fmt, tails=None):
 
 
 def cmd_algebra_check(args):
-    if not 1 <= args.n <= 4:
-        print("algebra-check: --n must be between 1 and 4", file=sys.stderr)
-        return 2
-    # the stage covers n = 1..4; a single-n request just filters the headline
     section, ok = stage_algebra()
     if args.format == "json":
-        sys.stdout.write(canonical_json({"n": args.n, **section}))
+        sys.stdout.write(canonical_json(section))
     else:
         print(f"anticommutator max deviation   {section['anticommutator_max_dev']:.3e}")
         print(f"basis trace max deviation      {section['basis_trace_max_dev']:.3e}")
@@ -200,7 +197,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra-check", help="graded-algebra invariant suite")
-    p.add_argument("--n", type=int, default=2, help="half-dimension, 1..4")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_algebra_check)
 
@@ -266,6 +262,9 @@ def main(argv=None):
         return 4
     except (ValueError, TypeError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

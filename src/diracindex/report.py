@@ -194,7 +194,8 @@ def write_spectrum_csv(path, system):
 # verify-all stages.  Each returns (json section, ok).
 
 
-def _random_element(ctx, rng, flavor, max_grade=None, n_terms=6):
+def random_multivector(ctx, rng, flavor=EXTERIOR, max_grade=None, n_terms=6):
+    """Sparse random element with coefficients uniform in [-1,1]^2."""
     cap = ctx.dim if max_grade is None else max_grade
     masks = [m for m in range(ctx.top_mask + 1) if m.bit_count() <= cap]
     idx = rng.choice(len(masks), size=min(n_terms, len(masks)), replace=False)
@@ -202,7 +203,8 @@ def _random_element(ctx, rng, flavor, max_grade=None, n_terms=6):
     return MultiVector(ctx, terms, flavor)
 
 
-def _random_real_two_form(ctx, rng):
+def random_two_form(ctx, rng):
+    """Random real grade-2 element (a curvature-style entry)."""
     terms = {}
     for i in range(1, ctx.dim + 1):
         for j in range(i + 1, ctx.dim + 1):
@@ -229,16 +231,16 @@ def stage_algebra():
             trace_dev = max(trace_dev,
                             abs(clifford_trace(ctx.blade_from_mask(mask, CLIFFORD))))
         for _ in range(50):
-            a = _random_element(ctx, rng, CLIFFORD)
-            b = _random_element(ctx, rng, CLIFFORD)
-            c = _random_element(ctx, rng, CLIFFORD)
+            a = random_multivector(ctx, rng, CLIFFORD)
+            b = random_multivector(ctx, rng, CLIFFORD)
+            c = random_multivector(ctx, rng, CLIFFORD)
             gap = (clifford_mul(clifford_mul(a, b), c)
                    - clifford_mul(a, clifford_mul(b, c))).max_norm()
             assoc_dev = max(assoc_dev, gap)
 
     ctx = AlgebraContext(4)
-    xi = _random_element(ctx, rng, EXTERIOR, max_grade=2)
-    eta = _random_element(ctx, rng, EXTERIOR, max_grade=2)
+    xi = random_multivector(ctx, rng, max_grade=2)
+    eta = random_multivector(ctx, rng, max_grade=2)
     defects = []
     for eps in (1e-1, 1e-2, 1e-3):
         prod = clifford_mul(phi_eps(xi, eps), phi_eps(eta, eps))
@@ -263,7 +265,7 @@ def stage_characteristic():
 
     # genus vs rational splitting oracle in dimension 8, three live blocks
     ctx = AlgebraContext(8)
-    blocks = [_random_real_two_form(ctx, rng) for _ in range(3)] + [ctx.scalar(0.0)]
+    blocks = [random_two_form(ctx, rng) for _ in range(3)] + [ctx.scalar(0.0)]
     genus = a_hat(block_diagonal_riemann(ctx, blocks))
     sq = [wedge(b * (1.0 / TWO_PI), b * (1.0 / TWO_PI)) for b in blocks[:3]]
     p1 = sq[0] + sq[1] + sq[2]

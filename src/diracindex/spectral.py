@@ -9,14 +9,19 @@ chirality asymmetry of the squared overlap spectrum.  Heat sums over that
 spectrum are then tau-independent up to truncation noise, which is the
 pairing statement made quantitative by ``pair_check``.
 
+Both lattice counts read one eigendecomposition of H = Gamma (D - m): the
+overlap count is -(1/2) tr sign(H), the squared overlap spectrum comes off
+the chirality blocks of sign(H), each mode's chirality exact.
+
 Numerical-ambiguity failures (a flux sum far from an integer, a sign
-function fed a near-zero eigenvalue, an unsharp zero-mode chirality, a
-collapsed zero/nonzero gap) raise AmbiguousSpectrumError rather than guess.
+function fed a near-zero eigenvalue, a collapsed zero/nonzero gap) raise
+AmbiguousSpectrumError rather than guess.
 """
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -306,8 +311,9 @@ class WilsonDiracOperator:
 
     matrix is the dense (2 N^2)-square massless Wilson operator, site-major
     with the spinor index innermost; chirality_matrix is the corresponding
-    Gamma.  The mass is not added to the matrix, it is the parameter the
-    overlap construction subtracts.
+    Gamma, diagonal with +1 on even and -1 on odd rows.  The mass is not
+    added to the matrix, it is the parameter the overlap construction
+    subtracts.  The kernel Gamma (D - m) is diagonalised once, on first use.
     """
 
     matrix: np.ndarray
@@ -315,13 +321,21 @@ class WilsonDiracOperator:
     mass: float
     label: str = "wilson"
 
+    @functools.cached_property
+    def _kernel_eigh(self):
+        # Gamma is diagonal, so Gamma (D - m) only flips the sign of rows
+        signs = np.diagonal(self.chirality_matrix)
+        h = signs[:, None] * (self.matrix - self.mass * np.eye(len(signs)))
+        return np.linalg.eigh(h)
+
 
 def build_wilson_dirac(gauge, mass=1.0):
     """Assemble the Wilson operator on a gauge background, Wilson weight 1.
 
     D = 2 r - (1/2) sum_mu [ U_mu(x) (r - gamma_mu) shift_+mu
                            + U_mu(x - mu)^* (r + gamma_mu) shift_-mu ]
-    with r = 1.  Chirality-hermiticity Gamma D Gamma = D^dagger holds exactly
+    with r = 1.  Each hop is a 2x2 spinor block written straight into the
+    matrix.  Chirality-hermiticity Gamma D Gamma = D^dagger holds exactly
     and is asserted.  An index reading needs the mass inside the first
     doubler window 0 < m < 2; outside it the overlap counts doubler branches
     too, so a warning is raised.
@@ -332,28 +346,27 @@ def build_wilson_dirac(gauge, mass=1.0):
                       "count will include doubler branches", stacklevel=2)
     n = gauge.size
     sites = np.arange(n * n).reshape(n, n)
-    ux, uy = gauge.links
-    tx = np.zeros((n * n, n * n), dtype=complex)
-    ty = np.zeros((n * n, n * n), dtype=complex)
-    tx[sites.ravel(), np.roll(sites, -1, axis=0).ravel()] = ux.ravel()
-    ty[sites.ravel(), np.roll(sites, -1, axis=1).ravel()] = uy.ravel()
     r = 1.0
     eye2 = np.eye(2, dtype=complex)
     d = 2.0 * r * np.eye(2 * n * n, dtype=complex)
-    d -= 0.5 * (np.kron(tx, r * eye2 - GAMMA1) + np.kron(tx.conj().T, r * eye2 + GAMMA1)
-                + np.kron(ty, r * eye2 - GAMMA2) + np.kron(ty.conj().T, r * eye2 + GAMMA2))
-    gamma = np.kron(np.eye(n * n), GAMMA5)
-    herm_defect = np.max(np.abs(gamma @ d @ gamma - d.conj().T))
+    blocks = d.reshape(n * n, 2, n * n, 2)
+    here = sites.ravel()
+    for mu, gamma_mu in enumerate((GAMMA1, GAMMA2)):
+        there = np.roll(sites, -1, axis=mu).ravel()
+        u = gauge.links[mu].ravel()[:, None, None]
+        blocks[here, :, there, :] = -0.5 * u * (r * eye2 - gamma_mu)
+        blocks[there, :, here, :] = -0.5 * u.conj() * (r * eye2 + gamma_mu)
+    signs = np.tile(GAMMA5.diagonal().real, n * n)  # Gamma = 1 x GAMMA5
+    herm_defect = np.max(np.abs(signs[:, None] * d * signs - d.conj().T))
     if herm_defect > 1e-12:
         raise AssertionError(f"chirality-hermiticity defect {herm_defect:.3e}")
     label = f"torus N={n} q={gauge.flux_quantum}"
-    return WilsonDiracOperator(matrix=d, chirality_matrix=gamma, mass=mass, label=label)
+    return WilsonDiracOperator(matrix=d, chirality_matrix=np.diag(signs),
+                               mass=mass, label=label)
 
 
 def _kernel_sign(op):
-    h = op.chirality_matrix @ (op.matrix - op.mass * np.eye(op.matrix.shape[0]))
-    h = 0.5 * (h + h.conj().T)
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = op._kernel_eigh
     low = float(np.min(np.abs(evals)))
     if low < ZERO_TOL:
         raise AmbiguousSpectrumError(
@@ -379,57 +392,37 @@ def overlap_index(op):
 def overlap_operator(op):
     """The overlap matrix m (1 + Gamma sign(Gamma (D - m)))."""
     evals, vecs = _kernel_sign(op)
-    sgn = (vecs * np.sign(evals)) @ vecs.conj().T
-    dim = op.matrix.shape[0]
-    return op.mass * (np.eye(dim) + op.chirality_matrix @ sgn)
+    gamma_sgn = np.diagonal(op.chirality_matrix)[:, None] * (
+        (vecs * np.sign(evals)) @ vecs.conj().T)
+    return op.mass * (np.eye(len(evals)) + gamma_sgn)
 
 
 def heat_kernel_system(op, zero_tol=ZERO_TOL):
     """Chirality-graded spectrum of the squared overlap operator.
 
-    The squared operator commutes with the chirality pairing exactly, so
-    each degenerate cluster carries sharp +-1 sectors; they are recovered by
-    rediagonalizing the pairing restricted to the cluster eigenspace.  Any
-    mode whose restricted chirality is farther than 0.01 from +-1 aborts
-    with AmbiguousSpectrumError.  Clusters are formed zero-tolerance first,
-    then by relative gap among the nonzero eigenvalues.
+    With S = sign(Gamma (D - m)) and S^2 = 1, the squared overlap operator
+    is D_ov^dagger D_ov = m^2 (2 + Gamma S + S Gamma).  Its off-diagonal
+    chirality blocks cancel, so it is block diagonal: 2 m^2 (1 + S_++) on
+    the + sector and 2 m^2 (1 - S_--) on the - sector (the Ginsparg-Wilson
+    structure).  One eigvalsh of each N^2-square diagonal block of S, built
+    from the shared kernel decomposition, gives the whole spectrum with
+    every chirality exact by construction.  Eigenvalues at or below
+    zero_tol are reported as exact zero modes.
 
-    The branch at exactly 4 m^2, the far end of the overlap circle, is a
-    pure lattice artifact (it hosts the chirality asymmetry that compensates
-    the zero modes on the finite lattice) and is excluded from the returned
-    continuum-like spectrum.  Eigenvalues are squared-operator values,
-    convention "Delta".
+    The branch at exactly 4 m^2, the far end of the overlap circle (S_++ =
+    +1 or S_-- = -1), is a pure lattice artifact (it hosts the chirality
+    asymmetry that compensates the zero modes on the finite lattice) and is
+    excluded from the returned continuum-like spectrum.  Eigenvalues are
+    squared-operator values, convention "Delta".
     """
-    dov = overlap_operator(op)
-    k = dov.conj().T @ dov
-    k = 0.5 * (k + k.conj().T)
-    evals, vecs = np.linalg.eigh(k)
-    gamma = op.chirality_matrix
+    evals, vecs = _kernel_sign(op)
+    chirality = np.diagonal(op.chirality_matrix)
     top = 4.0 * op.mass * op.mass
-    keep = np.abs(evals - top) > 1e-8 * top
-    idx = np.nonzero(keep)[0]
-    zero_idx = [i for i in idx if abs(evals[i]) <= zero_tol]
-    nonzero_idx = [i for i in idx if abs(evals[i]) > zero_tol]
-    clusters = [zero_idx] if zero_idx else []
-    if nonzero_idx:
-        current = [nonzero_idx[0]]
-        for i in nonzero_idx[1:]:
-            if evals[i] - evals[current[-1]] > CLUSTER_RELATIVE_GAP * evals[i]:
-                clusters.append(current)
-                current = []
-            current.append(i)
-        clusters.append(current)
     modes = []
-    for cluster in clusters:
-        block = vecs[:, cluster]
-        restricted = block.conj().T @ gamma @ block
-        restricted = 0.5 * (restricted + restricted.conj().T)
-        geig = np.linalg.eigvalsh(restricted)
-        if np.max(np.abs(np.abs(geig) - 1.0)) > INTEGER_RESIDUAL:
-            worst = geig[np.argmax(np.abs(np.abs(geig) - 1.0))]
-            raise AmbiguousSpectrumError(
-                f"cluster at {evals[cluster[0]]:.3e} has unsharp chirality {worst:.4f}")
-        chis = np.rint(geig).astype(int)
-        for i, chi in zip(cluster, sorted(chis)):
-            modes.append((float(evals[i]), int(chi)))
-    return SpectralSystem(tuple(modes), source=op.label, convention="Delta")
+    for chi in (1, -1):
+        v = vecs[chirality == chi]
+        for s in np.linalg.eigvalsh((v * np.sign(evals)) @ v.conj().T):
+            lam = 0.5 * top * (1.0 + chi * s)
+            if abs(lam - top) > 1e-8 * top:
+                modes.append((0.0 if abs(lam) <= zero_tol else lam, chi))
+    return SpectralSystem(tuple(sorted(modes)), source=op.label, convention="Delta")

@@ -16,15 +16,16 @@ def run(capsys, *argv):
 
 
 def test_algebra_check_passes(capsys):
-    code, out, _ = run(capsys, "algebra-check", "--n", "2")
+    code, out, _ = run(capsys, "algebra-check")
     assert code == 0
     assert "PASS" in out
 
 
 def test_algebra_check_rejects_bad_n(capsys):
-    code, _, err = run(capsys, "algebra-check", "--n", "9")
+    # the suite always covers half-dimensions 1..4; there is no --n knob
+    code, _, err = run(capsys, "algebra-check", "--n", "2")
     assert code == 2
-    assert "between 1 and 4" in err
+    assert "unrecognized arguments: --n 2" in err
 
 
 def test_algebra_check_json_reports_defect_ratios(capsys):
@@ -104,6 +105,15 @@ def test_index_sphere_reports_tails(capsys):
     code, _, err = run(capsys, "index-sphere", "--q", "1", "--kmax", "0")
     assert code == 2
     assert "kmax" in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "x.csv"
+    code, _, err = run(capsys, "index-sphere", "--q", "1", "--csv", str(path))
+    assert code == 2
+    assert err.startswith("cannot write output:")
+    assert str(path) in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_characteristic_torus_integral(capsys):

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from diracindex.report import run_torus_case
 from diracindex.spectral import (
+    GAMMA1,
+    GAMMA2,
+    GAMMA5,
     AmbiguousSpectrumError,
     LatticeGaugeField,
     PairViolation,
@@ -272,3 +276,59 @@ def test_index_is_gauge_invariant():
         assert overlap_index(op2) == -2
         assert zero_mode_asymmetry(heat_kernel_system(op2)) == -2
     assert zero_mode_asymmetry(base_sys) == -2
+
+
+# -- one kernel eigendecomposition per case ----------------------------------
+
+@pytest.mark.parametrize("size,q,mass", [(12, -3, 0.5), (16, 3, 1.0), (16, 5, 0.8)])
+def test_chirality_blocks_give_sharp_heat_spectrum(size, q, mass):
+    # sectors with near-degenerate nonzero levels of both chiralities
+    report, system = run_torus_case(size, q, mass=mass)
+    assert report.passed
+    assert report.plateau_deviation <= 1e-12
+
+    op = build_wilson_dirac(build_torus_gauge(size, q), mass=mass)
+    dov = overlap_operator(op)
+    full = np.linalg.eigvalsh(dov.conj().T @ dov)
+    top = 4.0 * mass * mass
+    full = full[np.abs(full - top) > 1e-8 * top]
+    heat = heat_kernel_system(op)
+    assert len(heat.modes) == len(full)
+    assert np.max(np.abs(np.sort(heat.eigenvalues()) - full)) <= 1e-12
+    zeros = [chi for lam, chi in heat.modes if lam <= 1e-10]
+    assert zeros == [int(np.sign(q))] * abs(q)
+
+
+@pytest.mark.parametrize("method", ["overlap", "heat"])
+def test_one_kernel_eigh_per_torus_case(monkeypatch, method):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, a.shape[-1]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report, _ = run_torus_case(8, 2, method=method)
+    assert report.passed
+    assert sorted(calls) == [("eigh", 128), ("eigvalsh", 64), ("eigvalsh", 64)]
+
+
+def test_wilson_assembly_matches_kron_reference():
+    n = 6
+    gauge = random_gauge_transform(build_torus_gauge(n, 2),
+                                   np.random.default_rng(61))
+    sites = np.arange(n * n).reshape(n, n)
+    ux, uy = gauge.links
+    tx = np.zeros((n * n, n * n), dtype=complex)
+    ty = np.zeros((n * n, n * n), dtype=complex)
+    tx[sites.ravel(), np.roll(sites, -1, axis=0).ravel()] = ux.ravel()
+    ty[sites.ravel(), np.roll(sites, -1, axis=1).ravel()] = uy.ravel()
+    eye2 = np.eye(2, dtype=complex)
+    want = 2.0 * np.eye(2 * n * n, dtype=complex)
+    want -= 0.5 * (np.kron(tx, eye2 - GAMMA1) + np.kron(tx.conj().T, eye2 + GAMMA1)
+                   + np.kron(ty, eye2 - GAMMA2) + np.kron(ty.conj().T, eye2 + GAMMA2))
+    op = build_wilson_dirac(gauge)
+    assert np.array_equal(op.matrix, want)
+    assert np.array_equal(op.chirality_matrix, np.kron(np.eye(n * n), GAMMA5))
