@@ -58,6 +58,7 @@ from .formdsl import (
 )
 from .spectral import (
     AmbiguousSpectrumError,
+    ChiralityDefectError,
     LatticeGaugeField,
     PairViolation,
     SpectralSystem,

@@ -1,10 +1,12 @@
 """Command-line surface: verification runs, sweeps, and algebra checks.
 
 Exit codes: 0 everything verified, 1 a verification failed, 2 usage or
-argument validation or an output path (--out, --csv) that cannot be
-written, 3 numerical ambiguity (no clean zero/nonzero split), 4 curvature
-file error.  Human-readable tables go to stdout; --format json
-swaps in the deterministic report rendering (timings stay out of JSON).
+argument validation, an index-torus --N whose dense matrices exceed the
+memory budget, or an output path (--out, --csv) that cannot be written,
+3 numerical ambiguity (no clean zero/nonzero split) or a Wilson operator
+that breaks chirality-hermiticity, 4 curvature file error.  Human-readable
+tables go to stdout; --format json swaps in the deterministic report
+rendering (timings stay out of JSON).
 """
 
 import argparse
@@ -16,7 +18,11 @@ from .formdsl import DslError, load_curvature, pretty_print, read_curvature_file
 from .report import (DEFAULT_TAUS, GENFUN_TOL, PARTITION_TOL, canonical_json,
                      genfun_rows, round_sig, run_sphere_case, run_torus_case,
                      run_verify_all, stage_algebra, write_spectrum_csv)
-from .spectral import AmbiguousSpectrumError, sphere_monopole_fixture
+from .spectral import (AmbiguousSpectrumError, ChiralityDefectError,
+                       sphere_monopole_fixture, torus_case_bytes)
+
+# bytes of dense matrices above which index-torus refuses a lattice
+TORUS_MEMORY_BUDGET = 2**30
 
 
 def _tau_grid(text):
@@ -80,6 +86,12 @@ def cmd_algebra_check(args):
 
 
 def cmd_index_torus(args):
+    need = torus_case_bytes(args.N)
+    if need > TORUS_MEMORY_BUDGET:
+        print(f"index-torus: --N {args.N} needs {need / 2**30:.1f} GiB of dense "
+              f"matrices, over the {TORUS_MEMORY_BUDGET / 2**30:g} GiB budget",
+              file=sys.stderr)
+        return 2
     report, system = run_torus_case(args.N, args.q, method=args.method,
                                     taus=args.tau, mass=args.m)
     if args.csv:
@@ -247,6 +259,9 @@ def main(argv=None):
         return args.func(args)
     except AmbiguousSpectrumError as exc:
         print(f"ambiguous spectrum: {exc}", file=sys.stderr)
+        return 3
+    except ChiralityDefectError as exc:
+        print(f"operator defect: {exc}", file=sys.stderr)
         return 3
     except DslError as exc:
         print(f"curvature input error: {exc}", file=sys.stderr)

@@ -11,7 +11,13 @@ pairing statement made quantitative by ``pair_check``.
 
 Both lattice counts read one eigendecomposition of H = Gamma (D - m): the
 overlap count is -(1/2) tr sign(H), the squared overlap spectrum comes off
-the chirality blocks of sign(H), each mode's chirality exact.
+the chirality blocks of sign(H), each mode's chirality exact.  H is
+diagonalised in a basis adapted to the lattice symmetries the field has up
+to a gauge transformation: the inversion (x, y) -> (-x, -y) splits it into
+two blocks of N^2, and the x-reflection combined with complex conjugation
+makes every block real symmetric.  Every constant-flux background has both,
+so a case costs two real eigensolves of size N^2; a field with neither
+keeps one complex block of size 2 N^2.
 
 Numerical-ambiguity failures (a flux sum far from an integer, a sign
 function fed a near-zero eigenvalue, a collapsed zero/nonzero gap) raise
@@ -47,6 +53,10 @@ GAMMA5 = _SIGMA3
 
 class AmbiguousSpectrumError(RuntimeError):
     """A spectral quantity cannot be read off unambiguously."""
+
+
+class ChiralityDefectError(RuntimeError):
+    """The Wilson operator breaks chirality-hermiticity Gamma D Gamma = D^dagger."""
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +315,109 @@ def random_gauge_transform(gauge, rng):
 # Wilson and overlap operators
 
 
+class _Symmetry(NamedTuple):
+    # S e_r = weight[r] e_perm[r] on the 2 N^2 rows (site-major, spinor
+    # innermost); an antiunitary S conjugates the coefficients first
+    perm: np.ndarray
+    weight: np.ndarray
+    antiunitary: bool
+
+
+def _lattice_symmetry(links, flip_y, antiunitary, spinor):
+    """The site map (x, y) -> (-x, -y or y) as a symmetry of the field, or None.
+
+    The map sends the link leaving s in direction mu to one at sigma(s).
+    Where it reverses mu, that is the link leaving sigma(s) - mu, run
+    backwards: conj U_mu(sigma(s) - mu).  An antiunitary map conjugates once
+    more.  The field is symmetric when these image links are a gauge
+    transform of its own, image_mu(s) = alpha(s) U_mu(s) conj alpha(s + mu).
+    alpha is solved from the links by cumulative products down the column
+    x = 0, then along x, and accepted only if every link matches to 1e-12.
+    spinor is the map's diagonal spinor factor, the one that carries each
+    hop's r - gamma_mu into the image hop's.
+    """
+    ux, uy = links
+    n = ux.shape[0]
+    sx = (-np.arange(n) % n)[:, None]
+    sy = (-np.arange(n) % n if flip_y else np.arange(n))[None, :]
+    image_x = ux[(sx - 1) % n, sy]
+    image_y = uy[sx, (sy - 1) % n] if flip_y else uy[sx, sy]
+    if not antiunitary:
+        image_x = image_x.conj()
+    if flip_y != antiunitary:
+        image_y = image_y.conj()
+    # alpha(s + mu) = alpha(s) U_mu(s) conj image_mu(s)
+    step_x = ux * image_x.conj()
+    step_y = uy * image_y.conj()
+    alpha = np.ones((n, n), dtype=complex)
+    alpha[0, 1:] = np.cumprod(step_y[0, :-1])
+    alpha[1:] = alpha[0] * np.cumprod(step_x[:-1], axis=0)
+    for axis, u, image in ((0, ux, image_x), (1, uy, image_y)):
+        moved = alpha * u * np.roll(alpha, -1, axis=axis).conj()
+        if np.max(np.abs(moved - image)) > 1e-12:
+            return None
+    target = (sx * n + sy).ravel()
+    phase = alpha.conj() if antiunitary else alpha
+    return _Symmetry(perm=(2 * target[:, None] + np.arange(2)).ravel(),
+                     weight=(phase.reshape(-1, 1) * spinor).ravel(),
+                     antiunitary=antiunitary)
+
+
+def _refine(block, sym):
+    """Adapt a block's basis columns to one more symmetry S.
+
+    A block is (rows, coefs), both (columns, k): column j is the sum of
+    coefs[j] times the unit vectors at rows[j].  The columns span orbits of
+    the symmetries applied before, one column per orbit, and S commutes with
+    those, so S v is a multiple of the column on the image orbit.  A pair
+    (v, S v) is kept by the column with the smaller leading row; a column
+    with S v = lambda v is its own image.  A unitary involution splits the
+    block into its eigenspaces, v + p S v for p = +1, -1.  An antiunitary
+    one keeps the block and makes each column invariant, c v + S(c v) with
+    c = 1, i on a pair and c = sqrt(lambda) on a fixed column.  Columns stay
+    orthonormal, each on one spinor component.
+    """
+    rows, coefs = block
+    img_rows = sym.perm[rows]
+    img_coefs = sym.weight[rows] * (coefs.conj() if sym.antiunitary else coefs)
+    lead, img_lead = rows.min(axis=1), img_rows.min(axis=1)
+    pair = np.flatnonzero(lead < img_lead)
+    fixed = np.flatnonzero(lead == img_lead)
+    same = (rows[fixed, :, None] == img_rows[fixed, None, :]).astype(float)
+    lam = np.einsum("ca,cab,cb->c", coefs[fixed].conj(), same, img_coefs[fixed])
+
+    def combine(take, a, b):
+        # columns a v + b (S v), S v written with its own rows and coefs
+        return (np.concatenate([rows[take], img_rows[take]], axis=1),
+                np.concatenate([a[:, None] * coefs[take],
+                                b[:, None] * img_coefs[take]], axis=1))
+
+    half = math.sqrt(0.5)
+    if sym.antiunitary:
+        take = np.concatenate([pair, pair, fixed])
+        c = np.concatenate([np.ones(len(pair)), np.full(len(pair), 1j), np.sqrt(lam)])
+        norm = np.concatenate([np.full(2 * len(pair), half), np.full(len(fixed), 0.5)])
+        return [combine(take, c * norm, c.conj() * norm)]
+    parts = []
+    for p in (1.0, -1.0):
+        own = fixed[lam.real * p > 0]
+        norm = np.concatenate([np.full(len(pair), half), np.full(len(own), 0.5)])
+        parts.append(combine(np.concatenate([pair, own]), norm, p * norm))
+    return parts
+
+
+def _symmetry_blocks(dim, symmetries):
+    """Orthonormal basis of the dim rows adapted to the symmetries, per block.
+
+    Starts from the identity, one block of unit columns, and lets each
+    symmetry refine it; with no symmetry it stays that block.
+    """
+    blocks = [(np.arange(dim)[:, None], np.ones((dim, 1), dtype=complex))]
+    for sym in symmetries:
+        blocks = [part for block in blocks for part in _refine(block, sym)]
+    return blocks
+
+
 @dataclass(frozen=True)
 class WilsonDiracOperator:
     """Massless Wilson matrix with its chirality pairing and subtraction mass.
@@ -313,20 +426,44 @@ class WilsonDiracOperator:
     with the spinor index innermost; chirality_matrix is the corresponding
     Gamma, diagonal with +1 on even and -1 on odd rows.  The mass is not
     added to the matrix, it is the parameter the overlap construction
-    subtracts.  The kernel Gamma (D - m) is diagonalised once, on first use.
+    subtracts.  symmetries holds the lattice symmetries found in the field.
+    The kernel Gamma (D - m) is diagonalised once, on first use, block by
+    block in the basis those symmetries adapt.
     """
 
     matrix: np.ndarray
     chirality_matrix: np.ndarray
     mass: float
     label: str = "wilson"
+    symmetries: tuple = ()
 
     @functools.cached_property
     def _kernel_eigh(self):
-        # Gamma is diagonal, so Gamma (D - m) only flips the sign of rows
-        signs = np.diagonal(self.chirality_matrix)
-        h = signs[:, None] * (self.matrix - self.mass * np.eye(len(signs)))
-        return np.linalg.eigh(h)
+        # per block: eigenvalues, eigenvectors, the chirality of each column
+        chirality = np.diagonal(self.chirality_matrix)
+        real = any(sym.antiunitary for sym in self.symmetries)
+        out = []
+        for rows, coefs in _symmetry_blocks(len(chirality), self.symmetries):
+            # V^dagger D V gathered by index, V never formed densely
+            vd = sum(c.conj()[:, None] * self.matrix[r] for r, c in zip(rows.T, coefs.T))
+            vdv = sum(vd[:, r] * c for r, c in zip(rows.T, coefs.T))
+            # each column lies on one spinor component, so Gamma V = V chi and
+            # V^dagger Gamma (D - m) V = chi (V^dagger D V - m)
+            chi = chirality[rows[:, 0]]
+            h = chi[:, None] * (vdv.real if real else vdv)
+            h[np.diag_indices_from(h)] -= self.mass * chi
+            evals, vecs = np.linalg.eigh(h)
+            out.append((evals, vecs, chi))
+        return out
+
+
+def torus_case_bytes(size):
+    """Memory of the dense (2 N^2)-square complex matrices a torus case holds.
+
+    At its peak a case holds about four: the Wilson matrix and the working
+    copies of its hermiticity check or of the kernel block assembly.
+    """
+    return 4 * 16 * (2 * size * size) ** 2
 
 
 def build_wilson_dirac(gauge, mass=1.0):
@@ -335,10 +472,10 @@ def build_wilson_dirac(gauge, mass=1.0):
     D = 2 r - (1/2) sum_mu [ U_mu(x) (r - gamma_mu) shift_+mu
                            + U_mu(x - mu)^* (r + gamma_mu) shift_-mu ]
     with r = 1.  Each hop is a 2x2 spinor block written straight into the
-    matrix.  Chirality-hermiticity Gamma D Gamma = D^dagger holds exactly
-    and is asserted.  An index reading needs the mass inside the first
-    doubler window 0 < m < 2; outside it the overlap counts doubler branches
-    too, so a warning is raised.
+    matrix.  Chirality-hermiticity Gamma D Gamma = D^dagger holds exactly;
+    a defect raises ChiralityDefectError.  An index reading needs the mass
+    inside the first doubler window 0 < m < 2; outside it the overlap counts
+    doubler branches too, so a warning is raised.
     """
     mass = float(mass)
     if not 0.0 < mass < 2.0:
@@ -356,33 +493,43 @@ def build_wilson_dirac(gauge, mass=1.0):
         u = gauge.links[mu].ravel()[:, None, None]
         blocks[here, :, there, :] = -0.5 * u * (r * eye2 - gamma_mu)
         blocks[there, :, here, :] = -0.5 * u.conj() * (r * eye2 + gamma_mu)
-    signs = np.tile(GAMMA5.diagonal().real, n * n)  # Gamma = 1 x GAMMA5
+    spinor_signs = GAMMA5.diagonal().real
+    signs = np.tile(spinor_signs, n * n)  # Gamma = 1 x GAMMA5
     herm_defect = np.max(np.abs(signs[:, None] * d * signs - d.conj().T))
     if herm_defect > 1e-12:
-        raise AssertionError(f"chirality-hermiticity defect {herm_defect:.3e}")
+        raise ChiralityDefectError(f"chirality-hermiticity defect {herm_defect:.3e}")
+    # the inversion reverses both hops, and GAMMA5 anticommutes with both
+    # gamma_mu; the x-reflection reverses x hops only, and conjugation flips
+    # the imaginary gamma_1 = sigma_2 alone, so its spinor factor is 1
+    found = (_lattice_symmetry(gauge.links, True, False, spinor_signs),
+             _lattice_symmetry(gauge.links, False, True, np.ones(2)))
     label = f"torus N={n} q={gauge.flux_quantum}"
     return WilsonDiracOperator(matrix=d, chirality_matrix=np.diag(signs),
-                               mass=mass, label=label)
+                               mass=mass, label=label,
+                               symmetries=tuple(sym for sym in found if sym is not None))
 
 
-def _kernel_sign(op):
-    evals, vecs = op._kernel_eigh
+def _check_kernel_gap(evals):
     low = float(np.min(np.abs(evals)))
     if low < ZERO_TOL:
         raise AmbiguousSpectrumError(
             f"kernel operator has a near-zero eigenvalue {low:.3e}; "
             "the mass sits on a spectral-flow crossing")
-    return evals, vecs
+
+
+def _kernel_blocks(op):
+    blocks = op._kernel_eigh
+    _check_kernel_gap(np.concatenate([evals for evals, _, _ in blocks]))
+    return blocks
 
 
 def overlap_index(op):
-    """Spectral-flow count -(1/2) tr sign(Gamma (D - m)).
+    """Spectral-flow count -(1/2) tr sign(Gamma (D - m)), summed over the blocks.
 
     Raises AmbiguousSpectrumError when the sign function is ill-defined (a
     near-zero eigenvalue) or the half-trace misses an integer by 0.01.
     """
-    evals, _ = _kernel_sign(op)
-    raw = -0.5 * float(np.sum(np.sign(evals)))
+    raw = -0.5 * sum(float(np.sum(np.sign(evals))) for evals, _, _ in _kernel_blocks(op))
     nearest = round(raw)
     if abs(raw - nearest) >= INTEGER_RESIDUAL:
         raise AmbiguousSpectrumError(f"half-trace {raw:.6f} is not near an integer")
@@ -390,10 +537,16 @@ def overlap_index(op):
 
 
 def overlap_operator(op):
-    """The overlap matrix m (1 + Gamma sign(Gamma (D - m)))."""
-    evals, vecs = _kernel_sign(op)
-    gamma_sgn = np.diagonal(op.chirality_matrix)[:, None] * (
-        (vecs * np.sign(evals)) @ vecs.conj().T)
+    """The overlap matrix m (1 + Gamma sign(Gamma (D - m))).
+
+    Built from its own eigendecomposition of the full kernel, not the blocks:
+    it is the reference the blocked route is tested against.
+    """
+    # Gamma is diagonal, so Gamma (D - m) only flips the sign of rows
+    signs = np.diagonal(op.chirality_matrix)
+    evals, vecs = np.linalg.eigh(signs[:, None] * (op.matrix - op.mass * np.eye(len(signs))))
+    _check_kernel_gap(evals)
+    gamma_sgn = signs[:, None] * ((vecs * np.sign(evals)) @ vecs.conj().T)
     return op.mass * (np.eye(len(evals)) + gamma_sgn)
 
 
@@ -404,8 +557,9 @@ def heat_kernel_system(op, zero_tol=ZERO_TOL):
     is D_ov^dagger D_ov = m^2 (2 + Gamma S + S Gamma).  Its off-diagonal
     chirality blocks cancel, so it is block diagonal: 2 m^2 (1 + S_++) on
     the + sector and 2 m^2 (1 - S_--) on the - sector (the Ginsparg-Wilson
-    structure).  One eigvalsh of each N^2-square diagonal block of S, built
-    from the shared kernel decomposition, gives the whole spectrum with
+    structure).  The lattice symmetries commute with Gamma and S, so each
+    symmetry block of the kernel splits the same way; one eigvalsh of each
+    chirality block of S in each symmetry block gives the whole spectrum,
     every chirality exact by construction.  Eigenvalues at or below
     zero_tol are reported as exact zero modes.
 
@@ -415,14 +569,13 @@ def heat_kernel_system(op, zero_tol=ZERO_TOL):
     excluded from the returned continuum-like spectrum.  Eigenvalues are
     squared-operator values, convention "Delta".
     """
-    evals, vecs = _kernel_sign(op)
-    chirality = np.diagonal(op.chirality_matrix)
     top = 4.0 * op.mass * op.mass
     modes = []
-    for chi in (1, -1):
-        v = vecs[chirality == chi]
-        for s in np.linalg.eigvalsh((v * np.sign(evals)) @ v.conj().T):
-            lam = 0.5 * top * (1.0 + chi * s)
-            if abs(lam - top) > 1e-8 * top:
-                modes.append((0.0 if abs(lam) <= zero_tol else lam, chi))
+    for evals, vecs, chirality in _kernel_blocks(op):
+        for chi in (1, -1):
+            v = vecs[chirality == chi]
+            for s in np.linalg.eigvalsh((v * np.sign(evals)) @ v.conj().T):
+                lam = 0.5 * top * (1.0 + chi * s)
+                if abs(lam - top) > 1e-8 * top:
+                    modes.append((0.0 if abs(lam) <= zero_tol else lam, chi))
     return SpectralSystem(tuple(sorted(modes)), source=op.label, convention="Delta")

@@ -81,6 +81,32 @@ def test_index_torus_ambiguous_kernel_exits_3(capsys):
     assert "ambiguous" in err.lower()
 
 
+def test_index_torus_refuses_oversized_lattice(capsys, monkeypatch):
+    from diracindex import cli
+    from diracindex.spectral import torus_case_bytes
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the case ran")
+
+    monkeypatch.setattr(cli, "run_torus_case", must_not_run)
+    code, out, err = run(capsys, "index-torus", "--N", "64", "--q", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--N 64" in err and "budget" in err
+    # the limit the README documents: N = 45 fits, N = 46 does not
+    assert torus_case_bytes(45) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(46)
+
+
+def test_index_torus_chirality_defect_exits_3(capsys, monkeypatch):
+    from diracindex import spectral
+    monkeypatch.setattr(spectral, "GAMMA5", np.eye(2, dtype=complex))
+    code, out, err = run(capsys, "index-torus", "--q", "1")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "chirality-hermiticity defect" in err
+    assert "Traceback" not in err
+
+
 def test_index_torus_csv_export(capsys, tmp_path):
     path = tmp_path / "spectrum.csv"
     code, _, _ = run(capsys, "index-torus", "--q", "2", "--csv", str(path))

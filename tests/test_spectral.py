@@ -9,6 +9,7 @@ from diracindex.spectral import (
     GAMMA2,
     GAMMA5,
     AmbiguousSpectrumError,
+    ChiralityDefectError,
     LatticeGaugeField,
     PairViolation,
     SpectralSystem,
@@ -27,6 +28,7 @@ from diracindex.spectral import (
     witten_index,
     zero_mode_asymmetry,
 )
+from diracindex.spectral import _symmetry_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,18 +303,102 @@ def test_chirality_blocks_give_sharp_heat_spectrum(size, q, mass):
 
 @pytest.mark.parametrize("method", ["overlap", "heat"])
 def test_one_kernel_eigh_per_torus_case(monkeypatch, method):
+    # two real symmetry blocks of N^2, each split once more by chirality
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, a.shape[-1]))
+            calls.append((_name, a.shape[-1], a.dtype))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     report, _ = run_torus_case(8, 2, method=method)
     assert report.passed
-    assert sorted(calls) == [("eigh", 128), ("eigvalsh", 64), ("eigvalsh", 64)]
+    eigh = [(dim, dtype) for name, dim, dtype in calls if name == "eigh"]
+    eigvalsh = [dim for name, dim, _ in calls if name == "eigvalsh"]
+    assert eigh == [(64, np.float64), (64, np.float64)]
+    assert len(eigvalsh) == 4 and sum(eigvalsh) == 128
+
+
+# -- symmetry-adapted kernel blocks ------------------------------------------
+
+def _assert_matches_full_matrix(op):
+    # the full-matrix route: one eigh of the dense 2N^2-square kernel
+    dim = len(op.matrix)
+    h = op.chirality_matrix @ (op.matrix - op.mass * np.eye(dim))
+    assert overlap_index(op) == -0.5 * np.sum(np.sign(np.linalg.eigvalsh(h)))
+    dov = overlap_operator(op)
+    full = np.linalg.eigvalsh(dov.conj().T @ dov)
+    top = 4.0 * op.mass**2
+    full = full[np.abs(full - top) > 1e-8 * top]
+    heat = heat_kernel_system(op)
+    assert len(heat.modes) == len(full)
+    assert np.max(np.abs(np.sort(heat.eigenvalues()) - full)) <= 1e-12
+    return heat
+
+
+_SWEEP_RNG = np.random.default_rng(505)
+SWEEP = [(size, int(_SWEEP_RNG.integers(-3, 4)),
+          round(float(_SWEEP_RNG.uniform(0.3, 1.7)), 3), twisted)
+         for size in (5, 6, 7, 8) for twisted in (False, True)]
+
+
+@pytest.mark.parametrize("size,q,mass,twisted", SWEEP)
+def test_symmetry_blocks_match_full_matrix(size, q, mass, twisted):
+    gauge = build_torus_gauge(size, q)
+    if twisted:
+        gauge = random_gauge_transform(gauge, np.random.default_rng(size))
+    op = build_wilson_dirac(gauge, mass=mass)
+    assert [sym.antiunitary for sym in op.symmetries] == [False, True]
+    assert [len(evals) for evals, _, _ in op._kernel_eigh] == [size * size] * 2
+    heat = _assert_matches_full_matrix(op)
+    zeros = [chi for lam, chi in heat.modes if lam <= 1e-10]
+    assert zeros == [int(np.sign(q))] * abs(q)
+
+
+def test_noise_field_takes_one_complex_block():
+    rng = np.random.default_rng(9)
+    links = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6, 6)))
+    op = build_wilson_dirac(LatticeGaugeField(links))
+    assert op.symmetries == ()
+    [(evals, vecs, _)] = op._kernel_eigh
+    assert len(evals) == 72 and np.iscomplexobj(vecs)
+    _assert_matches_full_matrix(op)
+
+
+@pytest.mark.parametrize("size,twisted", [(5, True), (6, False), (8, True)])
+def test_adapted_basis_is_orthonormal_and_real(size, twisted):
+    gauge = build_torus_gauge(size, 2)
+    if twisted:
+        gauge = random_gauge_transform(gauge, np.random.default_rng(70 + size))
+    op = build_wilson_dirac(gauge, mass=0.7)
+    dim = 2 * size * size
+    d = op.matrix
+    for sym in op.symmetries:
+        s = np.zeros((dim, dim), dtype=complex)
+        s[sym.perm, np.arange(dim)] = sym.weight
+        image = s @ (d.conj() if sym.antiunitary else d) @ s.conj().T
+        assert np.max(np.abs(image - d)) <= 1e-13
+    h = op.chirality_matrix @ (d - op.mass * np.eye(dim))
+    columns = []
+    for rows, coefs in _symmetry_blocks(dim, op.symmetries):
+        assert rows.shape[1] <= 4
+        assert np.all(rows % 2 == rows[:, :1] % 2)  # one spinor component each
+        v = np.zeros((dim, len(rows)), dtype=complex)
+        np.add.at(v, (rows, np.arange(len(rows))[:, None]), coefs)
+        assert np.max(np.abs((v.conj().T @ h @ v).imag)) <= 1e-13
+        columns.append(v)
+    assert [v.shape[1] for v in columns] == [size * size] * 2
+    full = np.hstack(columns)
+    assert np.max(np.abs(full.conj().T @ full - np.eye(dim))) <= 1e-14
+
+
+def test_chirality_defect_is_a_named_error(monkeypatch):
+    import diracindex.spectral as spectral
+    monkeypatch.setattr(spectral, "GAMMA5", np.eye(2, dtype=complex))
+    with pytest.raises(ChiralityDefectError, match="chirality-hermiticity defect"):
+        build_wilson_dirac(build_torus_gauge(6, 1))
 
 
 def test_wilson_assembly_matches_kron_reference():
