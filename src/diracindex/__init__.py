@@ -68,7 +68,6 @@ from .spectral import (
     gauge_transform,
     heat_kernel_system,
     overlap_index,
-    overlap_operator,
     pair_check,
     plaquette_angles,
     random_gauge_transform,

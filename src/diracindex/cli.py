@@ -1,15 +1,16 @@
 """Command-line surface: verification runs, sweeps, and algebra checks.
 
 Exit codes: 0 everything verified, 1 a verification failed, 2 usage or
-argument validation, an index-torus --N whose dense matrices exceed the
-memory budget, or an output path (--out, --csv) that cannot be written,
-3 numerical ambiguity (no clean zero/nonzero split) or a Wilson operator
-that breaks chirality-hermiticity, 4 curvature file error.  Human-readable
-tables go to stdout; --format json swaps in the deterministic report
-rendering (timings stay out of JSON).
+argument validation (one stderr line; numbers must be finite), an
+index-torus --N whose peak memory exceeds the budget, or an output path
+(--out, --csv) that cannot be written, 3 numerical ambiguity (no clean
+zero/nonzero split) or a Wilson operator that breaks chirality-hermiticity,
+4 curvature file error.  Human-readable tables go to stdout; --format json
+swaps in the deterministic report rendering (timings stay out of JSON).
 """
 
 import argparse
+import math
 import sys
 
 from .charclasses import (a_closed_form, a_hat, chern_character,
@@ -21,25 +22,46 @@ from .report import (DEFAULT_TAUS, GENFUN_TOL, PARTITION_TOL, canonical_json,
 from .spectral import (AmbiguousSpectrumError, ChiralityDefectError,
                        sphere_monopole_fixture, torus_case_bytes)
 
-# bytes of dense matrices above which index-torus refuses a lattice
+# peak bytes of a torus case above which index-torus refuses a lattice
 TORUS_MEMORY_BUDGET = 2**30
 
 
-def _tau_grid(text):
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text):
     try:
-        taus = tuple(float(t) for t in text.split(","))
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tau grid {text!r}")
-    if not taus or any(t <= 0 for t in taus):
+        raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _float_list(text):
+    return tuple(_finite_float(t) for t in text.split(","))
+
+
+def _tau_grid(text):
+    taus = _float_list(text)
+    if any(t <= 0 for t in taus):
         raise argparse.ArgumentTypeError("tau values must be positive")
     return taus
 
 
-def _float_list(text):
+def _grade_cap(text):
     try:
-        return tuple(float(t) for t in text.split(","))
+        cap = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad list {text!r}")
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    if cap < 0:
+        raise argparse.ArgumentTypeError("the grade cap must be at least 0")
+    return cap
 
 
 def _int_list(text):
@@ -88,8 +110,8 @@ def cmd_algebra_check(args):
 def cmd_index_torus(args):
     need = torus_case_bytes(args.N)
     if need > TORUS_MEMORY_BUDGET:
-        print(f"index-torus: --N {args.N} needs {need / 2**30:.1f} GiB of dense "
-              f"matrices, over the {TORUS_MEMORY_BUDGET / 2**30:g} GiB budget",
+        print(f"index-torus: --N {args.N} needs {need / 2**30:.1f} GiB, "
+              f"over the {TORUS_MEMORY_BUDGET / 2**30:g} GiB budget",
               file=sys.stderr)
         return 2
     report, system = run_torus_case(args.N, args.q, method=args.method,
@@ -194,7 +216,7 @@ def cmd_verify_all(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracindex",
         description="index verification: spectral counts vs curvature integrals")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -209,7 +231,7 @@ def build_parser():
     p.add_argument("--method", choices=("overlap", "heat"), default="overlap")
     p.add_argument("--tau", type=_tau_grid, default=DEFAULT_TAUS,
                    help="comma-separated tau grid")
-    p.add_argument("--m", type=float, default=1.0,
+    p.add_argument("--m", type=_finite_float, default=1.0,
                    help="kernel mass in (0, 2); off-center values probe "
                         "robustness of the integer")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -228,7 +250,7 @@ def build_parser():
     p.add_argument("--file", required=True, help="curvature JSON")
     p.add_argument("--which", choices=("ahat", "chern", "density"),
                    default="density")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=_grade_cap, default=None,
                    help="grade cap (defaults to the full dimension)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_characteristic)

@@ -1,6 +1,6 @@
 """Spectral side of the index: chirality-graded heat sums, a constant-flux
-torus background with its Wilson and overlap operators, and an exactly
-solvable monopole fixture.
+torus background with its Wilson operator and the overlap construction on
+it, and an exactly solvable monopole fixture.
 
 Three independent integers are computable here for a lattice background and
 are asserted equal by the verification layer: the plaquette-angle flux, the
@@ -17,7 +17,7 @@ to a gauge transformation: the inversion (x, y) -> (-x, -y) splits it into
 two blocks of N^2, and the x-reflection combined with complex conjugation
 makes every block real symmetric.  Every constant-flux background has both,
 so a case costs two real eigensolves of size N^2; a field with neither
-keeps one complex block of size 2 N^2.
+keeps one complex block of size 2 N^2.  Blocks are assembled from the links.
 
 Numerical-ambiguity failures (a flux sum far from an integer, a sign
 function fed a near-zero eigenvalue, a collapsed zero/nonzero gap) raise
@@ -418,61 +418,99 @@ def _symmetry_blocks(dim, symmetries):
     return blocks
 
 
+def _hop_blocks(links):
+    # per mu, the 2x2 blocks D[s, s + mu] = -(1/2) U_mu(s) (r - gamma_mu) and
+    # D[s + mu, s] = -(1/2) conj U_mu(s) (r + gamma_mu) at every site s, r = 1
+    eye2 = np.eye(2)
+    return [(-0.5 * u.reshape(-1, 1, 1) * (eye2 - gamma),
+             -0.5 * u.conj().reshape(-1, 1, 1) * (eye2 + gamma))
+            for u, gamma in zip(links, (GAMMA1, GAMMA2))]
+
+
+def _wilson_block(links, rows, coefs, mass):
+    """V^dagger (D - m) V for the columns of one block, V[rows[j], j] = coefs[j].
+
+    D - m sends the unit vector at site s, spinor b, to 2 - m on itself and to
+    column b of the hop blocks D[s -+ mu, s]: nine entries per nonzero of V,
+    scattered into (D - m) V, out of which V^dagger is gathered by index.
+    """
+    n = links.shape[1]
+    sites = np.arange(n * n).reshape(n, n)
+    site, spin = np.divmod(rows, 2)
+    amp = coefs[..., None]
+    targets, values = [rows[..., None]], [(2.0 - mass) * amp]
+    for mu, (ahead, back) in enumerate(_hop_blocks(links)):
+        before = np.roll(sites, 1, axis=mu).ravel()[site]
+        after = np.roll(sites, -1, axis=mu).ravel()[site]
+        targets += [2 * before[..., None] + (0, 1), 2 * after[..., None] + (0, 1)]
+        values += [ahead[before, :, spin] * amp, back[site, :, spin] * amp]
+    dv = np.zeros((2 * n * n, len(rows)), dtype=complex)
+    cols = np.arange(len(rows))[:, None, None]
+    np.add.at(dv, (np.concatenate(targets, axis=-1), cols), np.concatenate(values, axis=-1))
+    vdv = np.zeros((len(rows), len(rows)), dtype=complex)
+    for r, c in zip(rows.T, coefs.T):
+        vdv += c.conj()[:, None] * dv[r]
+    return vdv
+
+
 @dataclass(frozen=True)
 class WilsonDiracOperator:
-    """Massless Wilson matrix with its chirality pairing and subtraction mass.
+    """Massless Wilson operator, kept as its links, with chirality and mass.
 
-    matrix is the dense (2 N^2)-square massless Wilson operator, site-major
-    with the spinor index innermost; chirality_matrix is the corresponding
-    Gamma, diagonal with +1 on even and -1 on odd rows.  The mass is not
-    added to the matrix, it is the parameter the overlap construction
-    subtracts.  symmetries holds the lattice symmetries found in the field.
-    The kernel Gamma (D - m) is diagonalised once, on first use, block by
-    block in the basis those symmetries adapt.
+    chirality is Gamma's diagonal on the 2 N^2 rows (site-major, spinor
+    innermost), +1 on even and -1 on odd rows; the mass is the one the overlap
+    construction subtracts.  The kernel Gamma (D - m) is diagonalised once, on
+    first use, per block of the basis adapted to the lattice symmetries found
+    in the field, and refused when it has no gap at zero.
     """
 
-    matrix: np.ndarray
-    chirality_matrix: np.ndarray
+    links: np.ndarray
+    chirality: np.ndarray
     mass: float
     label: str = "wilson"
     symmetries: tuple = ()
 
+    @property
+    def size(self):
+        return self.links.shape[1]
+
     @functools.cached_property
     def _kernel_eigh(self):
         # per block: eigenvalues, eigenvectors, the chirality of each column
-        chirality = np.diagonal(self.chirality_matrix)
         real = any(sym.antiunitary for sym in self.symmetries)
         out = []
-        for rows, coefs in _symmetry_blocks(len(chirality), self.symmetries):
-            # V^dagger D V gathered by index, V never formed densely
-            vd = sum(c.conj()[:, None] * self.matrix[r] for r, c in zip(rows.T, coefs.T))
-            vdv = sum(vd[:, r] * c for r, c in zip(rows.T, coefs.T))
+        for rows, coefs in _symmetry_blocks(len(self.chirality), self.symmetries):
             # each column lies on one spinor component, so Gamma V = V chi and
-            # V^dagger Gamma (D - m) V = chi (V^dagger D V - m)
-            chi = chirality[rows[:, 0]]
-            h = chi[:, None] * (vdv.real if real else vdv)
-            h[np.diag_indices_from(h)] -= self.mass * chi
+            # V^dagger Gamma (D - m) V = chi V^dagger (D - m) V
+            chi = self.chirality[rows[:, 0]]
+            h = _wilson_block(self.links, rows, coefs, self.mass)
+            h = chi[:, None] * (h.real if real else h)
             evals, vecs = np.linalg.eigh(h)
             out.append((evals, vecs, chi))
+        low = min(float(np.min(np.abs(evals))) for evals, _, _ in out)
+        if low < ZERO_TOL:
+            raise AmbiguousSpectrumError(
+                f"kernel operator has a near-zero eigenvalue {low:.3e}; "
+                "the mass sits on a spectral-flow crossing")
         return out
 
 
 def torus_case_bytes(size):
-    """Memory of the dense (2 N^2)-square complex matrices a torus case holds.
+    """Peak bytes of a constant-flux torus case, at the second block's assembly.
 
-    At its peak a case holds about four: the Wilson matrix and the working
-    copies of its hermiticity check or of the kernel block assembly.
+    D V (32 N^4), V^dagger D V with two gather temporaries (48 N^4), and the
+    first block's kernel and eigenvectors (16 N^4); tracemalloc agrees.
     """
-    return 4 * 16 * (2 * size * size) ** 2
+    return 96 * size**4
 
 
 def build_wilson_dirac(gauge, mass=1.0):
-    """Assemble the Wilson operator on a gauge background, Wilson weight 1.
+    """The Wilson operator on a gauge background, Wilson weight 1.
 
     D = 2 r - (1/2) sum_mu [ U_mu(x) (r - gamma_mu) shift_+mu
                            + U_mu(x - mu)^* (r + gamma_mu) shift_-mu ]
-    with r = 1.  Each hop is a 2x2 spinor block written straight into the
-    matrix.  Chirality-hermiticity Gamma D Gamma = D^dagger holds exactly;
+    with r = 1, kept as its links.  Chirality-hermiticity Gamma D Gamma =
+    D^dagger is checked hop by hop, Gamma D[s, s + mu] Gamma = D[s + mu, s]^dagger;
     a defect raises ChiralityDefectError.  An index reading needs the mass
     inside the first doubler window 0 < m < 2; outside it the overlap counts
     doubler branches too, so a warning is raised.
@@ -481,21 +519,10 @@ def build_wilson_dirac(gauge, mass=1.0):
     if not 0.0 < mass < 2.0:
         warnings.warn(f"mass {mass:g} is outside the (0, 2) window, the overlap "
                       "count will include doubler branches", stacklevel=2)
-    n = gauge.size
-    sites = np.arange(n * n).reshape(n, n)
-    r = 1.0
-    eye2 = np.eye(2, dtype=complex)
-    d = 2.0 * r * np.eye(2 * n * n, dtype=complex)
-    blocks = d.reshape(n * n, 2, n * n, 2)
-    here = sites.ravel()
-    for mu, gamma_mu in enumerate((GAMMA1, GAMMA2)):
-        there = np.roll(sites, -1, axis=mu).ravel()
-        u = gauge.links[mu].ravel()[:, None, None]
-        blocks[here, :, there, :] = -0.5 * u * (r * eye2 - gamma_mu)
-        blocks[there, :, here, :] = -0.5 * u.conj() * (r * eye2 + gamma_mu)
     spinor_signs = GAMMA5.diagonal().real
-    signs = np.tile(spinor_signs, n * n)  # Gamma = 1 x GAMMA5
-    herm_defect = np.max(np.abs(signs[:, None] * d * signs - d.conj().T))
+    herm_defect = max(np.max(np.abs(spinor_signs[:, None] * ahead * spinor_signs
+                                    - back.conj().transpose(0, 2, 1)))
+                      for ahead, back in _hop_blocks(gauge.links))
     if herm_defect > 1e-12:
         raise ChiralityDefectError(f"chirality-hermiticity defect {herm_defect:.3e}")
     # the inversion reverses both hops, and GAMMA5 anticommutes with both
@@ -503,24 +530,10 @@ def build_wilson_dirac(gauge, mass=1.0):
     # the imaginary gamma_1 = sigma_2 alone, so its spinor factor is 1
     found = (_lattice_symmetry(gauge.links, True, False, spinor_signs),
              _lattice_symmetry(gauge.links, False, True, np.ones(2)))
-    label = f"torus N={n} q={gauge.flux_quantum}"
-    return WilsonDiracOperator(matrix=d, chirality_matrix=np.diag(signs),
-                               mass=mass, label=label,
-                               symmetries=tuple(sym for sym in found if sym is not None))
-
-
-def _check_kernel_gap(evals):
-    low = float(np.min(np.abs(evals)))
-    if low < ZERO_TOL:
-        raise AmbiguousSpectrumError(
-            f"kernel operator has a near-zero eigenvalue {low:.3e}; "
-            "the mass sits on a spectral-flow crossing")
-
-
-def _kernel_blocks(op):
-    blocks = op._kernel_eigh
-    _check_kernel_gap(np.concatenate([evals for evals, _, _ in blocks]))
-    return blocks
+    return WilsonDiracOperator(
+        links=gauge.links, chirality=np.tile(spinor_signs, gauge.size**2), mass=mass,
+        label=f"torus N={gauge.size} q={gauge.flux_quantum}",
+        symmetries=tuple(sym for sym in found if sym is not None))
 
 
 def overlap_index(op):
@@ -529,25 +542,11 @@ def overlap_index(op):
     Raises AmbiguousSpectrumError when the sign function is ill-defined (a
     near-zero eigenvalue) or the half-trace misses an integer by 0.01.
     """
-    raw = -0.5 * sum(float(np.sum(np.sign(evals))) for evals, _, _ in _kernel_blocks(op))
+    raw = -0.5 * sum(float(np.sum(np.sign(evals))) for evals, _, _ in op._kernel_eigh)
     nearest = round(raw)
     if abs(raw - nearest) >= INTEGER_RESIDUAL:
         raise AmbiguousSpectrumError(f"half-trace {raw:.6f} is not near an integer")
     return int(nearest)
-
-
-def overlap_operator(op):
-    """The overlap matrix m (1 + Gamma sign(Gamma (D - m))).
-
-    Built from its own eigendecomposition of the full kernel, not the blocks:
-    it is the reference the blocked route is tested against.
-    """
-    # Gamma is diagonal, so Gamma (D - m) only flips the sign of rows
-    signs = np.diagonal(op.chirality_matrix)
-    evals, vecs = np.linalg.eigh(signs[:, None] * (op.matrix - op.mass * np.eye(len(signs))))
-    _check_kernel_gap(evals)
-    gamma_sgn = signs[:, None] * ((vecs * np.sign(evals)) @ vecs.conj().T)
-    return op.mass * (np.eye(len(evals)) + gamma_sgn)
 
 
 def heat_kernel_system(op, zero_tol=ZERO_TOL):
@@ -571,7 +570,7 @@ def heat_kernel_system(op, zero_tol=ZERO_TOL):
     """
     top = 4.0 * op.mass * op.mass
     modes = []
-    for evals, vecs, chirality in _kernel_blocks(op):
+    for evals, vecs, chirality in op._kernel_eigh:
         for chi in (1, -1):
             v = vecs[chirality == chi]
             for s in np.linalg.eigvalsh((v * np.sign(evals)) @ v.conj().T):

@@ -93,8 +93,26 @@ def test_index_torus_refuses_oversized_lattice(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--N 64" in err and "budget" in err
-    # the limit the README documents: N = 45 fits, N = 46 does not
-    assert torus_case_bytes(45) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(46)
+    # the limit the README documents: N = 57 fits, N = 58 does not
+    assert torus_case_bytes(57) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(58)
+
+
+OUT_OF_DOMAIN = {
+    "--tau": ("index-torus", "--q", "1", "--tau", "1,inf", "--format", "json"),
+    "--m": ("index-torus", "--q", "1", "--m", "nan"),
+    "--y": ("genfun", "--y", "inf"),
+    "--order": ("characteristic", "--file", str(DEMO_DIR / "torus_flux.json"),
+                "--order", "-1"),
+}
+
+
+@pytest.mark.parametrize("flag", OUT_OF_DOMAIN)
+def test_out_of_domain_numbers_are_usage_errors(capsys, flag):
+    # rejected while parsing: nothing runs, nothing reaches stdout
+    code, out, err = run(capsys, *OUT_OF_DOMAIN[flag])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"argument {flag}:" in err
 
 
 def test_index_torus_chirality_defect_exits_3(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from diracindex.spectral import (
     gauge_transform,
     heat_kernel_system,
     overlap_index,
-    overlap_operator,
     pair_check,
     plaquette_angles,
     random_gauge_transform,
@@ -29,6 +29,7 @@ from diracindex.spectral import (
     zero_mode_asymmetry,
 )
 from diracindex.spectral import _symmetry_blocks
+from wilson_reference import dense_kernel, dense_wilson, overlap_operator
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,7 +198,7 @@ def test_gauge_transform_exactly_preserves_plaquettes():
 def test_wilson_chirality_hermiticity_and_free_symmetry():
     g = build_torus_gauge(6, 0)
     op = build_wilson_dirac(g)
-    gamma, d = op.chirality_matrix, op.matrix
+    gamma, d = np.diag(op.chirality), dense_wilson(op)
     assert np.max(np.abs(gamma @ d @ gamma - d.conj().T)) == 0.0
     # free massless spectrum is closed under complex conjugation (matched
     # pairwise: lexicographic sorting is unstable under degeneracy noise)
@@ -321,12 +322,27 @@ def test_one_kernel_eigh_per_torus_case(monkeypatch, method):
     assert len(eigvalsh) == 4 and sum(eigvalsh) == 128
 
 
+def test_torus_case_memory_peak():
+    # the operator is its links: a case never holds a (2N^2)-square matrix,
+    # only one symmetry block in assembly (torus_case_bytes models the peak)
+    size = 16
+    gauge = build_torus_gauge(size, 3)
+    tracemalloc.start()
+    try:
+        op = build_wilson_dirac(gauge)
+        overlap_index(op)
+        heat_kernel_system(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 16 * (2 * size * size) ** 2
+
+
 # -- symmetry-adapted kernel blocks ------------------------------------------
 
 def _assert_matches_full_matrix(op):
     # the full-matrix route: one eigh of the dense 2N^2-square kernel
-    dim = len(op.matrix)
-    h = op.chirality_matrix @ (op.matrix - op.mass * np.eye(dim))
+    h = dense_kernel(op)
     assert overlap_index(op) == -0.5 * np.sum(np.sign(np.linalg.eigvalsh(h)))
     dov = overlap_operator(op)
     full = np.linalg.eigvalsh(dov.conj().T @ dov)
@@ -374,13 +390,13 @@ def test_adapted_basis_is_orthonormal_and_real(size, twisted):
         gauge = random_gauge_transform(gauge, np.random.default_rng(70 + size))
     op = build_wilson_dirac(gauge, mass=0.7)
     dim = 2 * size * size
-    d = op.matrix
+    d = dense_wilson(op)
     for sym in op.symmetries:
         s = np.zeros((dim, dim), dtype=complex)
         s[sym.perm, np.arange(dim)] = sym.weight
         image = s @ (d.conj() if sym.antiunitary else d) @ s.conj().T
         assert np.max(np.abs(image - d)) <= 1e-13
-    h = op.chirality_matrix @ (d - op.mass * np.eye(dim))
+    h = dense_kernel(op)
     columns = []
     for rows, coefs in _symmetry_blocks(dim, op.symmetries):
         assert rows.shape[1] <= 4
@@ -416,5 +432,5 @@ def test_wilson_assembly_matches_kron_reference():
     want -= 0.5 * (np.kron(tx, eye2 - GAMMA1) + np.kron(tx.conj().T, eye2 + GAMMA1)
                    + np.kron(ty, eye2 - GAMMA2) + np.kron(ty.conj().T, eye2 + GAMMA2))
     op = build_wilson_dirac(gauge)
-    assert np.array_equal(op.matrix, want)
-    assert np.array_equal(op.chirality_matrix, np.kron(np.eye(n * n), GAMMA5))
+    assert np.array_equal(dense_wilson(op), want)
+    assert np.array_equal(np.diag(op.chirality), np.kron(np.eye(n * n), GAMMA5))
