@@ -10,7 +10,7 @@ K_MAX = 30
 for q in range(-2, 3):
     system = sphere_monopole_fixture(q, K_MAX)
     asym = zero_mode_asymmetry(system)
-    print(f"q={q:+d}  zero-mode asymmetry {asym:+d}  modes {len(system.modes)}")
+    print(f"q={q:+d}  zero-mode asymmetry {asym:+d}  modes {len(system.eigenvalues)}")
     for tau in (0.5, 1.0, 2.0, 5.0):
         w = witten_index(system, tau)
         tail = sphere_tail_bound(q, K_MAX, tau)

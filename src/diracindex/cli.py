@@ -13,14 +13,12 @@ import argparse
 import math
 import sys
 
-from .charclasses import (a_closed_form, a_hat, chern_character,
-                          index_density, partition_sum)
+from .charclasses import a_hat, chern_character, index_density
 from .formdsl import DslError, load_curvature, pretty_print, read_curvature_file
-from .report import (DEFAULT_TAUS, GENFUN_TOL, PARTITION_TOL, canonical_json,
-                     genfun_rows, round_sig, run_sphere_case, run_torus_case,
-                     run_verify_all, stage_algebra, write_spectrum_csv)
-from .spectral import (AmbiguousSpectrumError, ChiralityDefectError,
-                       sphere_monopole_fixture, torus_case_bytes)
+from .report import (DEFAULT_TAUS, canonical_json, genfun_table, round_sig,
+                     run_sphere_case, run_torus_case, run_verify_all,
+                     stage_algebra, write_spectrum_csv)
+from .spectral import AmbiguousSpectrumError, ChiralityDefectError, torus_case_bytes
 
 # peak bytes of a torus case above which index-torus refuses a lattice
 TORUS_MEMORY_BUDGET = 2**30
@@ -126,9 +124,9 @@ def cmd_index_sphere(args):
     if args.kmax < 1:
         print("index-sphere: --kmax must be at least 1", file=sys.stderr)
         return 2
-    report, tails = run_sphere_case(args.q, k_max=args.kmax, taus=args.tau)
+    report, tails, system = run_sphere_case(args.q, k_max=args.kmax, taus=args.tau)
     if args.csv:
-        write_spectrum_csv(args.csv, sphere_monopole_fixture(args.q, args.kmax))
+        write_spectrum_csv(args.csv, system)
     _print_report(report, args.format, tails=tails)
     return 0 if report.passed else 1
 
@@ -178,15 +176,9 @@ def cmd_genfun(args):
     if any(y <= 0 for y in args.y):
         print("genfun: all y values must be positive", file=sys.stderr)
         return 2
-    cutoffs = tuple(sorted(args.cutoff))
-    rows = []
-    ok = True
-    for y in args.y:
-        partition_dev = abs(partition_sum(y, 100) - a_closed_form(y))
-        y_rows = genfun_rows(y, cutoffs)
-        ok = (ok and partition_dev <= PARTITION_TOL
-              and y_rows[-1]["abs_diff"] < GENFUN_TOL)
-        rows.extend({**row, "partition_dev": partition_dev} for row in y_rows)
+    per_y, partition_devs, _, ok = genfun_table(args.y, tuple(sorted(args.cutoff)))
+    rows = [{**row, "partition_dev": dev}
+            for y_rows, dev in zip(per_y, partition_devs) for row in y_rows]
     if args.format == "json":
         sys.stdout.write(canonical_json({"rows": rows, "pass": ok}))
     else:

@@ -22,7 +22,7 @@ from .charclasses import (TWIST, TWO_PI, FormMatrix, a_closed_form, a_hat,
                           zero_riemann)
 from .spectral import (build_torus_gauge, build_wilson_dirac,
                        heat_kernel_system, overlap_index, pair_check,
-                       plaquette_angles, random_gauge_transform,
+                       random_gauge_transform,
                        sphere_monopole_fixture, sphere_tail_bound,
                        topological_flux, witten_index, zero_mode_asymmetry)
 
@@ -77,11 +77,10 @@ class VerificationReport:
 
     @property
     def plateau_deviation(self):
-        return max((abs(v - self.analytic_index) for _, v in self.witten_values),
-                   default=0.0)
+        return _plateau_deviation(self.witten_values, self.analytic_index)
 
-    def to_dict(self, include_timings=False):
-        out = {
+    def to_dict(self):
+        return {
             "case_name": self.case_name,
             "analytic_index": self.analytic_index,
             "topological_index": self.topological_index,
@@ -89,17 +88,17 @@ class VerificationReport:
             "pair_check_violations": self.pair_check_violations,
             "pass": self.passed,
         }
-        if include_timings:
-            out["timings_ms"] = dict(self.timings)
-        return out
+
+
+def _plateau_deviation(witten_values, index):
+    return max((abs(v - index) for _, v in witten_values), default=0.0)
 
 
 def _ms(t0):
     return (time.perf_counter() - t0) * 1000.0
 
 
-def run_torus_case(size, q, method="overlap", taus=DEFAULT_TAUS, mass=1.0,
-                   plateau_tol=PLATEAU_TOL):
+def run_torus_case(size, q, method="overlap", taus=DEFAULT_TAUS, mass=1.0):
     """Both index routes on one flux sector; returns (report, heat system)."""
     if method not in ("overlap", "heat"):
         raise ValueError(f"method must be 'overlap' or 'heat', got {method!r}")
@@ -126,9 +125,8 @@ def run_torus_case(size, q, method="overlap", taus=DEFAULT_TAUS, mass=1.0,
     violations = len(pair_check(system))
     timings["witten"] = _ms(t0)
 
-    plateau_dev = max(abs(v - analytic) for _, v in witten_values)
     passed = (analytic == topological and violations == 0
-              and plateau_dev <= plateau_tol)
+              and _plateau_deviation(witten_values, analytic) <= PLATEAU_TOL)
     report = VerificationReport(
         case_name=f"torus N={size} q={q} ({method})",
         analytic_index=analytic,
@@ -146,7 +144,7 @@ def run_sphere_case(q, k_max=30, taus=DEFAULT_TAUS):
 
     The topological side is recorded as q by the flux normalization of the
     fixture; it is not independently integrated here.  Returns
-    (report, tail bounds per tau).
+    (report, tail bounds per tau, fixture system).
 
     The truncation tail bounds the exact sum; evaluating a few thousand
     heat weights in floats adds summation roundoff on top, so the plateau
@@ -165,7 +163,7 @@ def run_sphere_case(q, k_max=30, taus=DEFAULT_TAUS):
     tails = tuple(sphere_tail_bound(q, k_max, tau) for tau in taus)
     timings["witten"] = _ms(t0)
 
-    roundoff = len(system.modes) * np.finfo(float).eps
+    roundoff = system.eigenvalues.size * np.finfo(float).eps
     within_tail = all(abs(v - q) <= b + roundoff
                       for (_, v), b in zip(witten_values, tails))
     passed = analytic == q and violations == 0 and within_tail
@@ -178,7 +176,7 @@ def run_sphere_case(q, k_max=30, taus=DEFAULT_TAUS):
         passed=passed,
         timings=timings,
     )
-    return report, tails
+    return report, tails, system
 
 
 def write_spectrum_csv(path, system):
@@ -186,7 +184,7 @@ def write_spectrum_csv(path, system):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "chirality", "source"])
-        for lam, chi in system.modes:
+        for lam, chi in zip(system.eigenvalues.tolist(), system.chiralities.tolist()):
             writer.writerow([f"{lam:.{SIGNIFICANT_DIGITS}g}", chi, system.source])
 
 
@@ -337,7 +335,7 @@ def stage_sphere(taus=DEFAULT_TAUS, k_max=30):
     cases = []
     ok = True
     for q in range(-2, 3):
-        report, tails = run_sphere_case(q, k_max=k_max, taus=taus)
+        report, tails, _ = run_sphere_case(q, k_max=k_max, taus=taus)
         ok = ok and report.passed
         cases.append({
             "q": q,
@@ -351,37 +349,37 @@ def stage_sphere(taus=DEFAULT_TAUS, k_max=30):
     return section, ok
 
 
-def genfun_rows(y, cutoffs):
-    """Matrix element against the closed form at each cutoff, for one y.
+def genfun_table(ys, cutoffs):
+    """Matrix element against the closed form at each cutoff, and the verdict.
+
+    Returns (rows, partition_devs, converged, ok).  rows[i] holds one row per
+    cutoff for ys[i], and partition_devs[i] is |partition sum - closed form|
+    at ys[i].  converged: at every y the largest cutoff's abs_diff is below
+    GENFUN_TOL.  ok: converged, and every partition deviation is within
+    PARTITION_TOL.
 
     abs_diff and every verdict derived from it are taken from the value at
     the report's 12 digits: a converged value sits closer to the closed form
     than its own rounding, and a reader recomputing |value - closed form|
     from the row must get abs_diff back.
     """
-    closed = a_closed_form(y)
-    rows = []
-    for cutoff in cutoffs:
-        value = round_sig(qho_generating_function(y, cutoff))
-        rows.append({"y": y, "cutoff": cutoff, "value": value,
-                     "closed_form": closed, "abs_diff": abs(value - closed)})
-    return rows
+    rows, partition_devs = [], []
+    for y in ys:
+        closed = a_closed_form(y)
+        partition_devs.append(abs(partition_sum(y, 100) - closed))
+        values = [round_sig(qho_generating_function(y, cutoff)) for cutoff in cutoffs]
+        rows.append([{"y": y, "cutoff": cutoff, "value": value, "closed_form": closed,
+                      "abs_diff": abs(value - closed)}
+                     for cutoff, value in zip(cutoffs, values)])
+    converged = all(y_rows[-1]["abs_diff"] < GENFUN_TOL for y_rows in rows)
+    return rows, partition_devs, converged, converged and max(partition_devs) <= PARTITION_TOL
 
 
 def stage_genfun(ys=(0.5, 1.0, 2.0), cutoffs=(20, 40, 60)):
-    rows = []
-    converged = True
-    partition_dev = 0.0
-    for y in ys:
-        partition_dev = max(partition_dev,
-                            abs(partition_sum(y, 100) - a_closed_form(y)))
-        y_rows = genfun_rows(y, cutoffs)
-        rows.extend(y_rows)
-        converged = converged and y_rows[-1]["abs_diff"] < GENFUN_TOL
-    ok = converged and partition_dev <= PARTITION_TOL
+    rows, partition_devs, converged, ok = genfun_table(ys, cutoffs)
     section = {
-        "rows": rows,
-        "partition_check_max_dev": partition_dev,
+        "rows": [row for y_rows in rows for row in y_rows],
+        "partition_check_max_dev": max(partition_devs),
         "converged_at_max_cutoff": converged,
         "pass": ok,
     }

@@ -2,6 +2,10 @@
 torus background with its Wilson operator and the overlap construction on
 it, and an exactly solvable monopole fixture.
 
+A graded spectrum (SpectralSystem) is two arrays of one length, the
+eigenvalues and their chiralities; an eigenvalue at or below ZERO_TOL is a
+zero mode, everywhere.
+
 Three independent integers are computable here for a lattice background and
 are asserted equal by the verification layer: the plaquette-angle flux, the
 spectral-flow count of the Wilson-overlap construction, and the zero-mode
@@ -63,45 +67,47 @@ class ChiralityDefectError(RuntimeError):
 # graded spectra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSystem:
-    """Chirality-graded nonnegative spectrum.
+    """Chirality-graded nonnegative spectrum, as two arrays of one length.
 
-    modes holds (eigenvalue, chirality) pairs with chirality +-1.  The
-    convention flag records what the eigenvalues mean: "H" for halved-
-    Laplacian energies (heat weight e^(-tau lambda)) and "Delta" for squared-
-    operator values (weight e^(-tau lambda/2)).  Eigenvalues must be
+    Mode k has eigenvalue eigenvalues[k] and chirality chiralities[k], +-1.
+    Both arrays are read-only copies, in the order given.  The convention
+    flag records what the eigenvalues mean: "H" for halved-Laplacian
+    energies (heat weight e^(-tau lambda)) and "Delta" for squared-operator
+    values (weight e^(-tau lambda/2)).  Eigenvalues must be finite and
     nonnegative; anything above -1e-8 is clamped to zero, anything below is
     a positivity violation and is rejected.
     """
 
-    modes: tuple
+    eigenvalues: np.ndarray
+    chiralities: np.ndarray
     source: str = "generic"
     convention: str = "H"
 
     def __post_init__(self):
         if self.convention not in ("H", "Delta"):
             raise ValueError(f"unknown convention {self.convention!r}")
-        clean = []
-        for lam, chi in self.modes:
-            lam = float(lam)
-            chi = int(chi)
-            if chi not in (-1, 1):
-                raise ValueError(f"chirality must be +-1, got {chi}")
-            if lam < -1e-8:
-                raise ValueError(f"eigenvalue {lam} violates positivity")
-            clean.append((max(lam, 0.0), chi))
-        object.__setattr__(self, "modes", tuple(clean))
+        lam = np.array(self.eigenvalues, dtype=float)
+        chi = np.array(self.chiralities, dtype=float)
+        if lam.ndim != 1 or lam.shape != chi.shape:
+            raise ValueError(f"eigenvalues and chiralities need one length, got "
+                             f"shapes {lam.shape} and {chi.shape}")
+        if not np.all(np.abs(chi) == 1):
+            raise ValueError("chiralities must be +-1")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("eigenvalues must be finite")
+        if np.any(lam < -1e-8):
+            raise ValueError(f"eigenvalue {lam.min()} violates positivity")
+        lam = np.where(lam < 0.0, 0.0, lam)
+        chi = chi.astype(int)
+        for name, values in (("eigenvalues", lam), ("chiralities", chi)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def heat_rate(self):
         return 1.0 if self.convention == "H" else 0.5
-
-    def eigenvalues(self):
-        return np.array([lam for lam, _ in self.modes])
-
-    def chiralities(self):
-        return np.array([chi for _, chi in self.modes], dtype=int)
 
 
 class PairViolation(NamedTuple):
@@ -115,64 +121,46 @@ def witten_index(system, tau):
     """Chirality-weighted heat sum over the spectrum at inverse temperature tau."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    lam = system.eigenvalues()
-    chi = system.chiralities()
-    return float(np.sum(chi * np.exp(-tau * system.heat_rate * lam)))
+    weights = np.exp(-tau * system.heat_rate * system.eigenvalues)
+    return float(np.sum(system.chiralities * weights))
 
 
-def zero_mode_asymmetry(system, tol=ZERO_TOL):
-    """Signed count of zero modes, n_plus - n_minus below tol.
+def zero_mode_asymmetry(system):
+    """Signed count of zero modes, n_plus - n_minus at or below ZERO_TOL.
 
     Refuses (AmbiguousSpectrumError) when the smallest nonzero eigenvalue
     sits within a factor 1e3 of the tolerance: such a spectrum has no clean
     zero/nonzero split and the count would depend on the tolerance choice.
     """
-    zeros = 0
-    smallest = None
-    for lam, chi in system.modes:
-        if lam <= tol:
-            zeros += chi
-        elif smallest is None or lam < smallest:
-            smallest = lam
-    if smallest is not None and smallest < tol * GAP_RATIO_MIN:
+    zero = system.eigenvalues <= ZERO_TOL
+    nonzero = system.eigenvalues[~zero]
+    if nonzero.size and nonzero.min() < ZERO_TOL * GAP_RATIO_MIN:
         raise AmbiguousSpectrumError(
-            f"smallest nonzero eigenvalue {smallest:.3e} is within 1e3 of the "
-            f"zero tolerance {tol:.1e}")
-    return int(zeros)
+            f"smallest nonzero eigenvalue {nonzero.min():.3e} is within 1e3 of "
+            f"the zero tolerance {ZERO_TOL:.1e}")
+    return int(np.sum(system.chiralities[zero]))
 
 
-def _nonzero_clusters(pairs):
-    # pairs sorted by eigenvalue; split where the gap exceeds the relative width
-    clusters = []
-    current = [pairs[0]]
-    for lam, chi in pairs[1:]:
-        if lam - current[-1][0] > CLUSTER_RELATIVE_GAP * lam:
-            clusters.append(current)
-            current = []
-        current.append((lam, chi))
-    clusters.append(current)
-    return clusters
-
-
-def pair_check(system, tol=ZERO_TOL):
+def pair_check(system):
     """Per-cluster chirality balance of the nonzero spectrum.
 
     Degenerate clusters are formed by relative gap 1e-6 after the zero modes
-    (below tol) are set aside.  Returns the list of unbalanced clusters as
-    PairViolation records; an empty list is the supersymmetric-pairing
-    statement.  Violations are data, not errors.
+    (at or below ZERO_TOL) are set aside.  Returns the list of unbalanced
+    clusters as PairViolation records; an empty list is the supersymmetric-
+    pairing statement.  Violations are data, not errors.
     """
-    nonzero = sorted((lam, chi) for lam, chi in system.modes if lam > tol)
-    if not nonzero:
-        return []
-    violations = []
-    for cluster in _nonzero_clusters(nonzero):
-        n_plus = sum(1 for _, chi in cluster if chi > 0)
-        n_minus = len(cluster) - n_plus
-        if n_plus != n_minus:
-            violations.append(PairViolation(cluster[0][0], cluster[-1][0],
-                                            n_plus, n_minus))
-    return violations
+    nonzero = system.eigenvalues > ZERO_TOL
+    order = np.argsort(system.eigenvalues[nonzero])
+    lam = system.eigenvalues[nonzero][order]
+    plus = (system.chiralities[nonzero][order] > 0).astype(int)
+    # a cluster starts wherever the gap below a level exceeds its relative width
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > CLUSTER_RELATIVE_GAP * lam)
+    ends = np.append(starts[1:], lam.size)
+    n_plus = np.add.reduceat(plus, starts)
+    n_minus = ends - starts - n_plus
+    return [PairViolation(float(lam[starts[i]]), float(lam[ends[i] - 1]),
+                          int(n_plus[i]), int(n_minus[i]))
+            for i in np.flatnonzero(n_plus != n_minus)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +180,13 @@ def sphere_monopole_fixture(q, k_max):
         raise ValueError("q must be an integer")
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError("k_max must be an integer >= 1")
-    modes = [(0.0, 1 if q > 0 else -1)] * abs(q)
-    for k in range(1, k_max + 1):
-        lam = float(k * (k + abs(q)))
-        mult = 2 * k + abs(q)
-        modes.extend([(lam, 1)] * mult)
-        modes.extend([(lam, -1)] * mult)
-    return SpectralSystem(tuple(modes), source="sphere", convention="Delta")
+    # the zero modes, then each level's + sector followed by its - sector
+    k = np.repeat(np.arange(1, k_max + 1), 2)
+    mult = 2 * k + abs(q)
+    eigenvalues = np.concatenate([np.zeros(abs(q)), np.repeat(k * (k + abs(q)), mult)])
+    chiralities = np.concatenate([np.full(abs(q), 1 if q > 0 else -1),
+                                  np.repeat(np.tile([1, -1], k_max), mult)])
+    return SpectralSystem(eigenvalues, chiralities, source="sphere", convention="Delta")
 
 
 def sphere_tail_bound(q, k_max, tau):
@@ -549,7 +537,7 @@ def overlap_index(op):
     return int(nearest)
 
 
-def heat_kernel_system(op, zero_tol=ZERO_TOL):
+def heat_kernel_system(op):
     """Chirality-graded spectrum of the squared overlap operator.
 
     With S = sign(Gamma (D - m)) and S^2 = 1, the squared overlap operator
@@ -560,7 +548,8 @@ def heat_kernel_system(op, zero_tol=ZERO_TOL):
     symmetry block of the kernel splits the same way; one eigvalsh of each
     chirality block of S in each symmetry block gives the whole spectrum,
     every chirality exact by construction.  Eigenvalues at or below
-    zero_tol are reported as exact zero modes.
+    ZERO_TOL are reported as exact zero modes, before the spectrum is
+    sorted by eigenvalue, then chirality.
 
     The branch at exactly 4 m^2, the far end of the overlap circle (S_++ =
     +1 or S_-- = -1), is a pure lattice artifact (it hosts the chirality
@@ -569,12 +558,15 @@ def heat_kernel_system(op, zero_tol=ZERO_TOL):
     squared-operator values, convention "Delta".
     """
     top = 4.0 * op.mass * op.mass
-    modes = []
+    lams, chis = [], []
     for evals, vecs, chirality in op._kernel_eigh:
         for chi in (1, -1):
             v = vecs[chirality == chi]
-            for s in np.linalg.eigvalsh((v * np.sign(evals)) @ v.conj().T):
-                lam = 0.5 * top * (1.0 + chi * s)
-                if abs(lam - top) > 1e-8 * top:
-                    modes.append((0.0 if abs(lam) <= zero_tol else lam, chi))
-    return SpectralSystem(tuple(sorted(modes)), source=op.label, convention="Delta")
+            s = np.linalg.eigvalsh((v * np.sign(evals)) @ v.conj().T)
+            lam = 0.5 * top * (1.0 + chi * s)
+            lams.append(lam[np.abs(lam - top) > 1e-8 * top])
+            chis.append(np.full(len(lams[-1]), chi))
+    lam, chi = np.concatenate(lams), np.concatenate(chis)
+    lam[np.abs(lam) <= ZERO_TOL] = 0.0
+    order = np.lexsort((chi, lam))
+    return SpectralSystem(lam[order], chi[order], source=op.label, convention="Delta")

@@ -194,7 +194,7 @@ def test_accept_07_sphere_plateau_within_tail():
     worst_excess = -np.inf
     for q in range(-2, 3):
         system = sphere_monopole_fixture(q, 30)
-        roundoff = len(system.modes) * np.finfo(float).eps
+        roundoff = len(system.eigenvalues) * np.finfo(float).eps
         for tau in (0.5, 1.0, 2.0, 5.0):
             bound = sphere_tail_bound(q, 30, tau) + roundoff
             worst_excess = max(worst_excess,

@@ -134,7 +134,7 @@ def test_index_torus_csv_export(capsys, tmp_path):
     from diracindex.spectral import (build_torus_gauge, build_wilson_dirac,
                                      heat_kernel_system)
     system = heat_kernel_system(build_wilson_dirac(build_torus_gauge(8, 2)))
-    assert len(lines) == 1 + len(system.modes)
+    assert len(lines) == 1 + len(system.eigenvalues)
     first = lines[1].split(",")
     assert first[1] in ("-1", "1")
     assert first[2].startswith("torus")

@@ -38,26 +38,48 @@ TWO_PI = 2.0 * math.pi
 
 def test_spectral_system_validation():
     with pytest.raises(ValueError):
-        SpectralSystem(((1.0, 2),))
+        SpectralSystem([1.0], [2])
     with pytest.raises(ValueError):
-        SpectralSystem(((-1e-7, 1),))
+        SpectralSystem([-1e-7], [1])
     with pytest.raises(ValueError):
-        SpectralSystem(((1.0, 1),), convention="energy")
-    clamped = SpectralSystem(((-1e-9, 1),))
-    assert clamped.modes == ((0.0, 1),)
-    s = SpectralSystem(((0.0, 1), (2.0, -1)), convention="Delta")
+        SpectralSystem([1.0], [1], convention="energy")
+    clamped = SpectralSystem([-1e-9], [1])
+    assert clamped.eigenvalues.tolist() == [0.0] and clamped.chiralities.tolist() == [1]
+    s = SpectralSystem([0.0, 2.0], [1, -1], convention="Delta")
     assert s.heat_rate == 0.5
-    assert SpectralSystem(()).modes == ()
+    assert SpectralSystem([], []).eigenvalues.size == 0
+
+
+@pytest.mark.parametrize("eigenvalues,chiralities,match", [
+    ([np.nan, 1.0, 1.0], [1, 1, -1], "finite"),
+    ([np.inf, 1.0], [1, -1], "finite"),
+    ([1.0, 1.0], [1.7, -1], r"\+-1"),
+    ([1.0, 1.0], [1], "one length"),
+], ids=["nan-eigenvalue", "inf-eigenvalue", "chirality-1.7", "unequal-lengths"])
+def test_spectral_system_rejects_malformed_spectra(eigenvalues, chiralities, match):
+    with pytest.raises(ValueError, match=match):
+        SpectralSystem(eigenvalues, chiralities)
+
+
+def test_spectral_system_arrays_are_read_only_copies_in_given_order():
+    lam, chi = np.array([2.0, 0.0, 1.0]), np.array([-1, 1, 1])
+    s = SpectralSystem(lam, chi)
+    assert s.eigenvalues.tolist() == [2.0, 0.0, 1.0] and s.chiralities.tolist() == [-1, 1, 1]
+    for values in (s.eigenvalues, s.chiralities):
+        with pytest.raises(ValueError):
+            values[0] = 0
+    lam[0] = 5.0  # the caller's array stays writable and unshared
+    assert s.eigenvalues[0] == 2.0
 
 
 def test_witten_index_basics():
-    lone = SpectralSystem(((0.0, 1),))
+    lone = SpectralSystem([0.0], [1])
     for tau in (0.1, 1.0, 10.0):
         assert witten_index(lone, tau) == 1.0
-    paired = SpectralSystem(((0.7, 1), (0.7, -1)))
+    paired = SpectralSystem([0.7, 0.7], [1, -1])
     assert witten_index(paired, 2.0) == 0.0
-    h = SpectralSystem(((1.0, 1),), convention="H")
-    d = SpectralSystem(((1.0, 1),), convention="Delta")
+    h = SpectralSystem([1.0], [1], convention="H")
+    d = SpectralSystem([1.0], [1], convention="Delta")
     assert abs(witten_index(h, 1.0) - math.exp(-1.0)) < 1e-15
     assert abs(witten_index(d, 1.0) - math.exp(-0.5)) < 1e-15
     with pytest.raises(ValueError):
@@ -67,31 +89,31 @@ def test_witten_index_basics():
 
 
 def test_zero_mode_asymmetry():
-    s = SpectralSystem(((1e-15, 1), (0.8, 1), (0.8, -1)))
-    assert zero_mode_asymmetry(s, tol=1e-10) == 1
-    both = SpectralSystem(((0.0, 1), (0.0, 1), (0.0, -1), (2.0, 1), (2.0, -1)))
+    s = SpectralSystem([1e-15, 0.8, 0.8], [1, 1, -1])
+    assert zero_mode_asymmetry(s) == 1
+    both = SpectralSystem([0.0, 0.0, 0.0, 2.0, 2.0], [1, 1, -1, 1, -1])
     assert zero_mode_asymmetry(both) == 1
     # smallest nonzero eigenvalue too close to the tolerance: refuse
-    murky = SpectralSystem(((0.0, 1), (2e-8, -1)))
+    murky = SpectralSystem([0.0, 2e-8], [1, -1])
     with pytest.raises(AmbiguousSpectrumError):
-        zero_mode_asymmetry(murky, tol=1e-10)
-    assert zero_mode_asymmetry(SpectralSystem(())) == 0
+        zero_mode_asymmetry(murky)
+    assert zero_mode_asymmetry(SpectralSystem([], [])) == 0
 
 
 def test_pair_check():
-    lone = SpectralSystem(((0.5, 1),))
+    lone = SpectralSystem([0.5], [1])
     v = pair_check(lone)
     assert v == [PairViolation(0.5, 0.5, 1, 0)]
-    balanced = SpectralSystem(((0.5, 1), (0.5, -1), (1.0, -1), (1.0, 1)))
+    balanced = SpectralSystem([0.5, 0.5, 1.0, 1.0], [1, -1, -1, 1])
     assert pair_check(balanced) == []
     # members of one near-degenerate cluster balance each other
-    close = SpectralSystem(((1.0, 1), (1.0 + 5e-7, -1)))
+    close = SpectralSystem([1.0, 1.0 + 5e-7], [1, -1])
     assert pair_check(close) == []
     # two separated unbalanced clusters are reported separately
-    split = SpectralSystem(((1.0, 1), (2.0, -1)))
+    split = SpectralSystem([1.0, 2.0], [1, -1])
     assert len(pair_check(split)) == 2
     # zero modes are not the pairing's business
-    zero = SpectralSystem(((0.0, 1), (0.0, 1)))
+    zero = SpectralSystem([0.0, 0.0], [1, 1])
     assert pair_check(zero) == []
 
 
@@ -99,17 +121,17 @@ def test_pair_check():
 
 def test_sphere_fixture_structure():
     s = sphere_monopole_fixture(2, 5)
-    zeros = [chi for lam, chi in s.modes if lam == 0.0]
-    assert zeros == [1, 1]
+    lam, chi = s.eigenvalues, s.chiralities
+    assert chi[lam == 0.0].tolist() == [1, 1]
     for k in range(1, 6):
-        lam = float(k * (k + 2))
-        plus = sum(1 for l, c in s.modes if l == lam and c == 1)
-        minus = sum(1 for l, c in s.modes if l == lam and c == -1)
+        level = lam == float(k * (k + 2))
+        plus = np.sum(level & (chi == 1))
+        minus = np.sum(level & (chi == -1))
         assert plus == minus == 2 * k + 2
     neg = sphere_monopole_fixture(-3, 2)
-    assert [chi for lam, chi in neg.modes if lam == 0.0] == [-1, -1, -1]
+    assert neg.chiralities[neg.eigenvalues == 0.0].tolist() == [-1, -1, -1]
     free = sphere_monopole_fixture(0, 4)
-    assert all(lam > 0 for lam, _ in free.modes)
+    assert np.all(free.eigenvalues > 0)
     assert s.convention == "Delta" and s.source == "sphere"
 
 
@@ -242,13 +264,13 @@ def test_heat_kernel_system_structure():
     g = build_torus_gauge(8, 2)
     op = build_wilson_dirac(g)
     sys_ = heat_kernel_system(op)
-    lam = sys_.eigenvalues()
+    lam = sys_.eigenvalues
     assert sys_.convention == "Delta"
     assert sys_.source == "torus N=8 q=2"
     assert np.all(lam >= 0.0)
     top = 4.0 * op.mass**2
     assert np.max(lam) < top * (1.0 - 1e-9)  # artifact branch excluded
-    zeros = [chi for l, chi in sys_.modes if l <= 1e-10]
+    zeros = sys_.chiralities[lam <= 1e-10].tolist()
     assert zeros == [1, 1]
     assert pair_check(sys_) == []
     assert zero_mode_asymmetry(sys_) == 2
@@ -296,9 +318,9 @@ def test_chirality_blocks_give_sharp_heat_spectrum(size, q, mass):
     top = 4.0 * mass * mass
     full = full[np.abs(full - top) > 1e-8 * top]
     heat = heat_kernel_system(op)
-    assert len(heat.modes) == len(full)
-    assert np.max(np.abs(np.sort(heat.eigenvalues()) - full)) <= 1e-12
-    zeros = [chi for lam, chi in heat.modes if lam <= 1e-10]
+    assert len(heat.eigenvalues) == len(full)
+    assert np.max(np.abs(np.sort(heat.eigenvalues) - full)) <= 1e-12
+    zeros = heat.chiralities[heat.eigenvalues <= 1e-10].tolist()
     assert zeros == [int(np.sign(q))] * abs(q)
 
 
@@ -349,8 +371,8 @@ def _assert_matches_full_matrix(op):
     top = 4.0 * op.mass**2
     full = full[np.abs(full - top) > 1e-8 * top]
     heat = heat_kernel_system(op)
-    assert len(heat.modes) == len(full)
-    assert np.max(np.abs(np.sort(heat.eigenvalues()) - full)) <= 1e-12
+    assert len(heat.eigenvalues) == len(full)
+    assert np.max(np.abs(np.sort(heat.eigenvalues) - full)) <= 1e-12
     return heat
 
 
@@ -369,7 +391,7 @@ def test_symmetry_blocks_match_full_matrix(size, q, mass, twisted):
     assert [sym.antiunitary for sym in op.symmetries] == [False, True]
     assert [len(evals) for evals, _, _ in op._kernel_eigh] == [size * size] * 2
     heat = _assert_matches_full_matrix(op)
-    zeros = [chi for lam, chi in heat.modes if lam <= 1e-10]
+    zeros = heat.chiralities[heat.eigenvalues <= 1e-10].tolist()
     assert zeros == [int(np.sign(q))] * abs(q)
 
 
