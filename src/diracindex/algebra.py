@@ -14,10 +14,20 @@ grade-scaling vector-space isomorphism between the two; its failure to be an
 algebra map is O(eps^2) and is itself a quantity of interest, so the two
 products are never silently mixed.
 
+Both products run through one numpy kernel over chunks of term pairs.  The
+sign of the pair (x, y) is the parity of bitwise_count(x & below(y)), where
+below(y) has bit k set when an odd number of y's generators lie under
+generator k; the Clifford product adds bitwise_count(x & y), one -1 per
+contracted generator.  Each result coefficient is summed in pair order
+(row-major over the two term dicts), so it equals a dictionary loop over
+the pairs bit for bit, key order included.
+
 Operator sugar: ``^`` is wedge, ``*`` is scalar scaling or (between two
 clifford elements) the Clifford product.  Python gives ``^`` very low
 precedence, parenthesize wedge expressions.
 """
+
+import numpy as np
 
 EXTERIOR = "exterior"
 CLIFFORD = "clifford"
@@ -31,24 +41,82 @@ _MAX_DIM = 16
 
 _FLAVOR_SEP = {EXTERIOR: "^", CLIFFORD: "*"}
 
-
-def _reorder_sign(a, b):
-    # Parity of the transpositions that merge sorted blade `a` in front of
-    # sorted blade `b`: each generator of b hops over every generator of a
-    # with a larger index.
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
+# term pairs per step of the product kernel (rows of a times all of b, at
+# least one row): large enough to amortise the numpy calls, small enough
+# that a step's temporaries stay near 1 MB
+_PAIR_CHUNK = 16384
 
 
-def _prune(terms):
-    if not terms:
-        return terms
-    cut = PRUNE_RELATIVE * max(abs(c) for c in terms.values())
-    return {m: c for m, c in terms.items() if abs(c) > cut}
+def _below(y):
+    # bit k set where an odd number of y's bits lie under bit k (prefix xor
+    # shifted up one); exact for the 16 generators, on ints and int arrays
+    for shift in (1, 2, 4, 8):
+        y = y ^ (y << shift)
+    return y << 1
+
+
+def _pair_sums(ma, ca, mb, cb, size, clifford):
+    # the masks the (a term, b term) pairs land on, in the order of their
+    # first pair, and the sum of the signed coefficient products on each;
+    # a function of its own so that its 2**dim work arrays are freed before
+    # the caller builds the result dict
+    ar, ai, br, bi = ca.real[:, None], ca.imag[:, None], cb.real, cb.imag
+    below = _below(mb)
+    # only the entries of masks met so far are ever read
+    acc, slot = np.empty(size, dtype=complex), np.empty(size, dtype=np.intp)
+    seen = np.zeros(size, dtype=bool)
+    hits = [np.zeros(0, dtype=np.intp)]
+    rows = max(1, _PAIR_CHUNK // max(1, len(mb)))
+    for lo in range(0, len(ma), rows):
+        x, xr, xi = ma[lo:lo + rows, None], ar[lo:lo + rows], ai[lo:lo + rows]
+        y, y_below, yr, yi = mb, below, br, bi
+        if not clifford:
+            # disjoint pairs only, gathered in row-major order
+            i, j = np.divmod(np.flatnonzero((x & mb) == 0), len(mb))
+            x, xr, xi = x[i, 0], xr[i, 0], xi[i, 0]
+            y, y_below, yr, yi = mb[j], below[j], br[j], bi[j]
+        odd = np.bitwise_count(x & y_below)
+        if clifford:
+            odd += np.bitwise_count(x & y)
+        sign = 1.0 - 2.0 * (odd & 1)
+        re = ((xr * yr - xi * yi) * sign).ravel()
+        im = ((xr * yi + xi * yr) * sign).ravel()
+        out = (x ^ y).ravel()
+        fresh = out[~seen[out]]
+        acc[fresh] = 0.0
+        np.add.at(acc.real, out, re)
+        np.add.at(acc.imag, out, im)
+        # the fresh masks, each once, in the order of their first pair
+        pos = np.arange(fresh.size)
+        slot[fresh] = fresh.size
+        np.minimum.at(slot, fresh, pos)
+        fresh = fresh[slot[fresh] == pos]
+        seen[fresh] = True
+        hits.append(fresh)
+    hit = np.concatenate(hits)
+    return hit, acc[hit]
+
+
+def _product(a, b, clifford):
+    """Wedge (clifford False) or Clifford product of two same-flavor elements.
+
+    Coefficients multiply in real arithmetic as CPython's complex product
+    does (numpy's complex multiply can differ in the last bit), and
+    ``np.add.at`` adds them up one pair at a time, in pair order.  Pruning
+    uses ``np.hypot``, which is CPython's ``abs`` of a complex.  The result
+    dict is built once, in first-appearance order, and not re-validated.
+    """
+    hit, coeffs = _pair_sums(np.fromiter(a.terms, np.intp, len(a.terms)),
+                             np.fromiter(a.terms.values(), complex, len(a.terms)),
+                             np.fromiter(b.terms, np.intp, len(b.terms)),
+                             np.fromiter(b.terms.values(), complex, len(b.terms)),
+                             a.context.top_mask + 1, clifford)
+    magnitude = np.hypot(coeffs.real, coeffs.imag)
+    if hit.size:
+        keep = magnitude > PRUNE_RELATIVE * magnitude.max()
+        hit, coeffs = hit[keep], coeffs[keep]
+    terms = dict(zip(hit.tolist(), coeffs.tolist()))
+    return MultiVector._trusted(a.context, terms, a.flavor)
 
 
 class AlgebraContext:
@@ -129,6 +197,13 @@ class MultiVector:
         self.context = context
         self.flavor = flavor
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, context, terms, flavor):
+        # terms already holds nonzero complex values on valid masks
+        out = cls.__new__(cls)
+        out.context, out.flavor, out.terms = context, flavor, terms
+        return out
 
     # -- inspection ----------------------------------------------------
 
@@ -237,15 +312,8 @@ def _common_context(a, b):
 
 def wedge(a, b):
     """Graded antisymmetric product.  Overlapping blades annihilate."""
-    ctx = _common_context(a, b)
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & mb:
-                continue
-            m = ma | mb
-            out[m] = out.get(m, 0) + ca * cb * _reorder_sign(ma, mb)
-    return MultiVector(ctx, _prune(out), a.flavor)
+    _common_context(a, b)
+    return _product(a, b, clifford=False)
 
 
 def clifford_mul(a, b):
@@ -256,18 +324,10 @@ def clifford_mul(a, b):
     operands must carry the clifford flavor; exterior elements go through
     ``phi_eps`` first.
     """
-    ctx = _common_context(a, b)
+    _common_context(a, b)
     if a.flavor != CLIFFORD:
         raise TypeError("clifford_mul needs clifford-flavored operands, map through phi_eps")
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            sign = _reorder_sign(ma, mb)
-            if (ma & mb).bit_count() & 1:
-                sign = -sign
-            m = ma ^ mb
-            out[m] = out.get(m, 0) + ca * cb * sign
-    return MultiVector(ctx, _prune(out), a.flavor)
+    return _product(a, b, clifford=True)
 
 
 def grade_project(a, r):
@@ -288,7 +348,7 @@ def hodge_star(a):
     out = {}
     for m, c in a.terms.items():
         comp = top & ~m
-        out[comp] = c * _reorder_sign(m, comp)
+        out[comp] = c * (-1 if (m & _below(comp)).bit_count() & 1 else 1)
     return MultiVector(a.context, out, EXTERIOR)
 
 

@@ -2,11 +2,12 @@
 
 Exit codes: 0 everything verified, 1 a verification failed, 2 usage or
 argument validation (one stderr line; numbers must be finite), an
-index-torus --N whose peak memory exceeds the budget, or an output path
-(--out, --csv) that cannot be written, 3 numerical ambiguity (no clean
-zero/nonzero split) or a Wilson operator that breaks chirality-hermiticity,
-4 curvature file error.  Human-readable tables go to stdout; --format json
-swaps in the deterministic report rendering (timings stay out of JSON).
+index-torus --N or index-sphere --q/--kmax whose peak memory exceeds the
+budget, or an output path (--out, --csv) that cannot be written, 3
+numerical ambiguity (no clean zero/nonzero split) or a Wilson operator that
+breaks chirality-hermiticity, 4 curvature file error.  Human-readable
+tables go to stdout; --format json swaps in the deterministic report
+rendering (timings stay out of JSON).
 """
 
 import argparse
@@ -18,9 +19,10 @@ from .formdsl import DslError, load_curvature, pretty_print, read_curvature_file
 from .report import (DEFAULT_TAUS, canonical_json, genfun_table, round_sig,
                      run_sphere_case, run_torus_case, run_verify_all,
                      stage_algebra, write_spectrum_csv)
-from .spectral import AmbiguousSpectrumError, ChiralityDefectError, torus_case_bytes
+from .spectral import (AmbiguousSpectrumError, ChiralityDefectError, sphere_case_bytes,
+                       torus_case_bytes)
 
-# peak bytes of a torus case above which index-torus refuses a lattice
+# peak bytes of a case above which index-torus and index-sphere refuse it
 TORUS_MEMORY_BUDGET = 2**30
 
 
@@ -123,6 +125,11 @@ def cmd_index_torus(args):
 def cmd_index_sphere(args):
     if args.kmax < 1:
         print("index-sphere: --kmax must be at least 1", file=sys.stderr)
+        return 2
+    need = sphere_case_bytes(args.q, args.kmax)
+    if need > TORUS_MEMORY_BUDGET:
+        print(f"index-sphere: --q {args.q} --kmax {args.kmax} needs {need / 2**30:.1f} GiB, "
+              f"over the {TORUS_MEMORY_BUDGET / 2**30:g} GiB budget", file=sys.stderr)
         return 2
     report, tails, system = run_sphere_case(args.q, k_max=args.kmax, taus=args.tau)
     if args.csv:

@@ -189,6 +189,17 @@ def sphere_monopole_fixture(q, k_max):
     return SpectralSystem(eigenvalues, chiralities, source="sphere", convention="Delta")
 
 
+def sphere_case_bytes(q, k_max):
+    """Peak bytes of a sphere case, 60 a fixture mode.
+
+    The fixture keeps its eigenvalues and chiralities (16 bytes a mode), and
+    pair_check sorts copies of both on top (42); tracemalloc reads 58.0 a
+    mode, and the rounding up covers the per-level arrays.  The fixture has
+    |q| + 2 k_max (k_max + 1 + |q|) modes.
+    """
+    return 60 * (abs(q) + 2 * k_max * (k_max + 1 + abs(q)))
+
+
 def sphere_tail_bound(q, k_max, tau):
     """Heat weight of the first omitted fixture level times its multiplicity."""
     if not tau > 0:
@@ -420,7 +431,8 @@ def _wilson_block(links, rows, coefs, mass):
 
     D - m sends the unit vector at site s, spinor b, to 2 - m on itself and to
     column b of the hop blocks D[s -+ mu, s]: nine entries per nonzero of V,
-    scattered into (D - m) V, out of which V^dagger is gathered by index.
+    scattered into (D - m) V, out of which V^dagger is gathered by index
+    (the identity basis needs no gather).
     """
     n = links.shape[1]
     sites = np.arange(n * n).reshape(n, n)
@@ -435,6 +447,9 @@ def _wilson_block(links, rows, coefs, mass):
     dv = np.zeros((2 * n * n, len(rows)), dtype=complex)
     cols = np.arange(len(rows))[:, None, None]
     np.add.at(dv, (np.concatenate(targets, axis=-1), cols), np.concatenate(values, axis=-1))
+    if (rows.shape[1] == 1 and np.array_equal(rows[:, 0], np.arange(len(dv)))
+            and np.all(coefs == 1)):
+        return dv  # the identity basis of a field with no symmetry: V = 1
     vdv = np.zeros((len(rows), len(rows)), dtype=complex)
     for r, c in zip(rows.T, coefs.T):
         vdv += c.conj()[:, None] * dv[r]

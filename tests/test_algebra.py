@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import algebra_reference as reference
 from conftest import random_multivector
+from diracindex import algebra
 from diracindex.algebra import (
     CLIFFORD,
     EXTERIOR,
@@ -255,3 +257,110 @@ def test_operator_sugar():
     cb = phi_eps(b, 1.0)
     assert ca * cb == clifford_mul(ca, cb)
     assert (2.0 * ca).max_norm() == 2 * ca.max_norm()
+
+
+# -- the numpy pair kernel against the dictionary pair loop ------------------
+
+PRODUCTS = [(wedge, reference.wedge, EXTERIOR),
+            (clifford_mul, reference.clifford_mul, CLIFFORD)]
+
+
+def _bits(mv):
+    # keys in dict order with the exact bits of both coefficient parts
+    return [(m, type(m), c.real.hex(), c.imag.hex(), type(c)) for m, c in mv.terms.items()]
+
+
+def _assert_same(new, old):
+    assert (new.context, new.flavor) == (old.context, old.flavor)
+    assert list(new.terms.items()) == list(old.terms.items())
+    assert _bits(new) == _bits(old)
+
+
+def _element(ctx, rng, flavor, n_terms, integer=False):
+    masks = rng.choice(ctx.top_mask + 1, size=n_terms, replace=False)
+    if integer:  # small integers, so that sums cancel to exactly 0
+        parts = rng.integers(-2, 3, (n_terms, 2)).astype(float)
+    else:
+        parts = rng.uniform(-1, 1, (n_terms, 2))
+    return MultiVector(ctx, {int(m): complex(*p) for m, p in zip(masks, parts)}, flavor)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 12, 16])
+@pytest.mark.parametrize("product,loop,flavor", PRODUCTS, ids=["wedge", "clifford"])
+def test_products_equal_pair_loop(dim, product, loop, flavor):
+    rng = np.random.default_rng([29, dim])
+    ctx = AlgebraContext(dim)
+    dense = min(ctx.top_mask + 1, 256)  # every mask up to dim 8
+    for na, nb in ((dense, dense), (40, 30), (1, 60), (60, 1), (3, 3)):
+        na, nb = min(na, dense), min(nb, dense)
+        for integer in (False, True):
+            a = _element(ctx, rng, flavor, na, integer)
+            b = _element(ctx, rng, flavor, nb, integer)
+            _assert_same(product(a, b), loop(a, b))
+    zero = MultiVector(ctx, {}, flavor)
+    a = _element(ctx, rng, flavor, min(dense, 20))
+    for x, y in ((zero, a), (a, zero), (zero, zero)):
+        assert product(x, y).is_zero()
+        _assert_same(product(x, y), loop(x, y))
+
+
+def test_products_spanning_many_chunks_equal_pair_loop(monkeypatch):
+    rng = np.random.default_rng(31)
+    ctx = AlgebraContext(12)
+    for product, loop, flavor in PRODUCTS:
+        # 400 x 300 pairs: 8 chunks of the kernel as it ships
+        a, b = _element(ctx, rng, flavor, 400), _element(ctx, rng, flavor, 300)
+        assert len(a.terms) * len(b.terms) > 4 * algebra._PAIR_CHUNK
+        _assert_same(product(a, b), loop(a, b))
+    # tiny chunks: several rows a chunk, and one row wider than a chunk
+    monkeypatch.setattr(algebra, "_PAIR_CHUNK", 7)
+    for product, loop, flavor in PRODUCTS:
+        for na, nb in ((40, 3), (40, 30), (1, 60), (60, 1)):
+            for integer in (False, True):
+                a = _element(ctx, rng, flavor, na, integer)
+                b = _element(ctx, rng, flavor, nb, integer)
+                _assert_same(product(a, b), loop(a, b))
+
+
+def test_products_cancelling_to_zero_equal_pair_loop():
+    ctx = AlgebraContext(8)
+    e1, e2 = ctx.generator(1, CLIFFORD), ctx.generator(2, CLIFFORD)
+    # (e1 + e2)(e1 - e2) = -1 + 1 - 2 e1 e2: the scalar sums to exactly 0
+    out = clifford_mul(e1 + e2, e1 - e2)
+    assert out.terms == {0b11: -2}
+    _assert_same(out, reference.clifford_mul(e1 + e2, e1 - e2))
+    # v ^ v and the bivector part of v v: each pair cancels against its mirror
+    rng = np.random.default_rng(37)
+    for flavor, product, loop in ((EXTERIOR, wedge, reference.wedge),
+                                  (CLIFFORD, clifford_mul, reference.clifford_mul)):
+        v = MultiVector(ctx, {1 << k: complex(*rng.uniform(-1, 1, 2)) for k in range(8)},
+                        flavor)
+        out = product(v, v)
+        assert set(out.terms) <= {0}
+        _assert_same(out, loop(v, v))
+
+
+def test_products_pruning_equal_pair_loop():
+    rng = np.random.default_rng(41)
+    ctx = AlgebraContext(8)
+    for product, loop, flavor in PRODUCTS:
+        a = _element(ctx, rng, flavor, 30)
+        small = {m: c * 1e-16 if k % 2 else c for k, (m, c) in enumerate(a.terms.items())}
+        a = MultiVector(ctx, small, flavor)
+        b = _element(ctx, rng, flavor, 30)
+        reached = {(x | y) if flavor == EXTERIOR else x ^ y
+                   for x in a.terms for y in b.terms if flavor == CLIFFORD or not x & y}
+        out = loop(a, b)
+        assert len(out.terms) < len(reached)  # the loop dropped dust
+        _assert_same(product(a, b), out)
+
+
+def test_hodge_sign_equals_pair_loop_sign():
+    ctx = AlgebraContext(6)
+    for coeff in (1.0, complex(-0.5, 2.0), -1j):
+        for mask in range(ctx.top_mask + 1):
+            comp = ctx.top_mask & ~mask
+            star = hodge_star(MultiVector(ctx, {mask: coeff}, EXTERIOR))
+            want = MultiVector(ctx, {comp: complex(coeff) * reference._reorder_sign(mask, comp)},
+                               EXTERIOR)
+            _assert_same(star, want)

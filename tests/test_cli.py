@@ -97,6 +97,23 @@ def test_index_torus_refuses_oversized_lattice(capsys, monkeypatch):
     assert torus_case_bytes(57) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(58)
 
 
+def test_index_sphere_refuses_oversized_fixture(capsys, monkeypatch):
+    from diracindex import cli
+    from diracindex.spectral import sphere_case_bytes
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the case ran")
+
+    monkeypatch.setattr(cli, "run_sphere_case", must_not_run)
+    for argv in (("--q", "1", "--kmax", "1000000"), ("--q", "-100000000000", "--kmax", "1")):
+        code, out, err = run(capsys, "index-sphere", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and " ".join(argv) in err and "budget" in err
+    # the limit the README documents: kmax = 2990 fits at q = 0, 2991 does not
+    assert sphere_case_bytes(0, 2990) <= cli.TORUS_MEMORY_BUDGET < sphere_case_bytes(0, 2991)
+
+
 OUT_OF_DOMAIN = {
     "--tau": ("index-torus", "--q", "1", "--tau", "1,inf", "--format", "json"),
     "--m": ("index-torus", "--q", "1", "--m", "nan"),

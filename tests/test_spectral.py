@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diracindex.report import run_torus_case
+from diracindex.report import run_sphere_case, run_torus_case
 from diracindex.spectral import (
     GAMMA1,
     GAMMA2,
@@ -22,6 +22,7 @@ from diracindex.spectral import (
     pair_check,
     plaquette_angles,
     random_gauge_transform,
+    sphere_case_bytes,
     sphere_monopole_fixture,
     sphere_tail_bound,
     topological_flux,
@@ -360,6 +361,18 @@ def test_torus_case_memory_peak():
     assert peak < 2.5 * 16 * (2 * size * size) ** 2
 
 
+def test_sphere_case_memory_peak():
+    # sphere_case_bytes, which index-sphere checks against its budget, bounds
+    # the case's peak and is not loose
+    tracemalloc.start()
+    try:
+        run_sphere_case(2, k_max=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * sphere_case_bytes(2, 300) < peak <= sphere_case_bytes(2, 300)
+
+
 # -- symmetry-adapted kernel blocks ------------------------------------------
 
 def _assert_matches_full_matrix(op):
@@ -403,6 +416,24 @@ def test_noise_field_takes_one_complex_block():
     [(evals, vecs, _)] = op._kernel_eigh
     assert len(evals) == 72 and np.iscomplexobj(vecs)
     _assert_matches_full_matrix(op)
+
+
+def test_noise_field_block_is_not_gathered():
+    # with no symmetry the basis is the identity and (D - m) V is the block
+    # itself; gathering a copy of it read 4.19 units of 16 (2N^2)^2 bytes
+    size = 12
+    rng = np.random.default_rng(9)
+    field = LatticeGaugeField(np.exp(1j * rng.uniform(-np.pi, np.pi, (2, size, size))))
+    tracemalloc.start()
+    try:
+        op = build_wilson_dirac(field)
+        overlap_index(op)
+        heat_kernel_system(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.symmetries == ()
+    assert peak < 3.3 * 16 * (2 * size * size) ** 2
 
 
 @pytest.mark.parametrize("size,twisted", [(5, True), (6, False), (8, True)])
