@@ -14,13 +14,16 @@ grade-scaling vector-space isomorphism between the two; its failure to be an
 algebra map is O(eps^2) and is itself a quantity of interest, so the two
 products are never silently mixed.
 
-Both products run through one numpy kernel over chunks of term pairs.  The
-sign of the pair (x, y) is the parity of bitwise_count(x & below(y)), where
-below(y) has bit k set when an odd number of y's generators lie under
-generator k; the Clifford product adds bitwise_count(x & y), one -1 per
-contracted generator.  Each result coefficient is summed in pair order
-(row-major over the two term dicts), so it equals a dictionary loop over
-the pairs bit for bit, key order included.
+Both products take one of two paths, picked by the number of term pairs.
+Up to ``_LOOP_PAIRS`` pairs a dictionary loop over the pairs forms the
+product; larger products run through one numpy kernel over chunks of term
+pairs, whose fixed cost of numpy calls only pays off on many pairs.  On both
+paths the sign of the pair (x, y) is the parity of bitwise_count(x &
+below(y)), where below(y) has bit k set when an odd number of y's
+generators lie under generator k; the Clifford product adds
+bitwise_count(x & y), one -1 per contracted generator.  Each result
+coefficient is summed in pair order (row-major over the two term dicts), so
+the two paths agree bit for bit, key order included.
 
 Operator sugar: ``^`` is wedge, ``*`` is scalar scaling or (between two
 clifford elements) the Clifford product.  Python gives ``^`` very low
@@ -46,6 +49,10 @@ _FLAVOR_SEP = {EXTERIOR: "^", CLIFFORD: "*"}
 # that a step's temporaries stay near 1 MB
 _PAIR_CHUNK = 16384
 
+# products of at most this many term pairs skip the kernel: below it the
+# kernel's fixed cost of numpy calls outweighs a Python loop over the pairs
+_LOOP_PAIRS = 192
+
 
 def _below(y):
     # bit k set where an odd number of y's bits lie under bit k (prefix xor
@@ -55,13 +62,21 @@ def _below(y):
     return y << 1
 
 
+def _parity_mask(y, clifford):
+    # the pair (x, y) takes the sign (-1)**bitwise_count(x & _parity_mask(y)):
+    # one swap per generator of x above an odd number of y's generators, and
+    # for Clifford one -1 more per generator the two share (x & y), whose
+    # parity folds into the same count by xor
+    return _below(y) ^ y if clifford else _below(y)
+
+
 def _pair_sums(ma, ca, mb, cb, size, clifford):
     # the masks the (a term, b term) pairs land on, in the order of their
     # first pair, and the sum of the signed coefficient products on each;
     # a function of its own so that its 2**dim work arrays are freed before
     # the caller builds the result dict
     ar, ai, br, bi = ca.real[:, None], ca.imag[:, None], cb.real, cb.imag
-    below = _below(mb)
+    flips = _parity_mask(mb, clifford)
     # only the entries of masks met so far are ever read
     acc, slot = np.empty(size, dtype=complex), np.empty(size, dtype=np.intp)
     seen = np.zeros(size, dtype=bool)
@@ -69,16 +84,13 @@ def _pair_sums(ma, ca, mb, cb, size, clifford):
     rows = max(1, _PAIR_CHUNK // max(1, len(mb)))
     for lo in range(0, len(ma), rows):
         x, xr, xi = ma[lo:lo + rows, None], ar[lo:lo + rows], ai[lo:lo + rows]
-        y, y_below, yr, yi = mb, below, br, bi
+        y, flip, yr, yi = mb, flips, br, bi
         if not clifford:
             # disjoint pairs only, gathered in row-major order
             i, j = np.divmod(np.flatnonzero((x & mb) == 0), len(mb))
             x, xr, xi = x[i, 0], xr[i, 0], xi[i, 0]
-            y, y_below, yr, yi = mb[j], below[j], br[j], bi[j]
-        odd = np.bitwise_count(x & y_below)
-        if clifford:
-            odd += np.bitwise_count(x & y)
-        sign = 1.0 - 2.0 * (odd & 1)
+            y, flip, yr, yi = mb[j], flips[j], br[j], bi[j]
+        sign = 1.0 - 2.0 * (np.bitwise_count(x & flip) & 1)
         re = ((xr * yr - xi * yi) * sign).ravel()
         im = ((xr * yi + xi * yr) * sign).ravel()
         out = (x ^ y).ravel()
@@ -97,15 +109,39 @@ def _pair_sums(ma, ca, mb, cb, size, clifford):
     return hit, acc[hit]
 
 
+def _pair_loop(a, b, clifford):
+    # the sums of _pair_sums, formed one pair at a time: CPython's complex
+    # multiply, negated on odd parity, added to 0j in pair order
+    out = {}
+    get = out.get
+    rows = [(y, _parity_mask(y, clifford), cy) for y, cy in b.terms.items()]
+    for x, cx in a.terms.items():
+        for y, flip, cy in rows:
+            if not clifford and x & y:
+                continue
+            c = cx * cy
+            m = x ^ y
+            out[m] = get(m, 0j) + (-c if (x & flip).bit_count() & 1 else c)
+    return out
+
+
 def _product(a, b, clifford):
     """Wedge (clifford False) or Clifford product of two same-flavor elements.
 
-    Coefficients multiply in real arithmetic as CPython's complex product
-    does (numpy's complex multiply can differ in the last bit), and
-    ``np.add.at`` adds them up one pair at a time, in pair order.  Pruning
-    uses ``np.hypot``, which is CPython's ``abs`` of a complex.  The result
-    dict is built once, in first-appearance order, and not re-validated.
+    Up to ``_LOOP_PAIRS`` term pairs the pairs are summed in a dictionary
+    loop; larger products go through the numpy kernel.  There coefficients
+    multiply in real arithmetic as CPython's complex product does (numpy's
+    complex multiply can differ in the last bit), and ``np.add.at`` adds
+    them up one pair at a time, in pair order.  Pruning uses ``np.hypot``,
+    which is CPython's ``abs`` of a complex.  Either way the result dict is
+    built once, in first-appearance order, and not re-validated.
     """
+    if len(a.terms) * len(b.terms) <= _LOOP_PAIRS:
+        terms = _pair_loop(a, b, clifford)
+        if terms:
+            cut = PRUNE_RELATIVE * max(map(abs, terms.values()))
+            terms = {m: c for m, c in terms.items() if abs(c) > cut}
+        return MultiVector._trusted(a.context, terms, a.flavor)
     hit, coeffs = _pair_sums(np.fromiter(a.terms, np.intp, len(a.terms)),
                              np.fromiter(a.terms.values(), complex, len(a.terms)),
                              np.fromiter(b.terms, np.intp, len(b.terms)),
@@ -238,26 +274,37 @@ class MultiVector:
         if other.flavor != self.flavor:
             raise ValueError(f"mixed flavors ({self.flavor} vs {other.flavor})")
 
+    # the results below are built with _trusted: the masks are the
+    # operands' and every value is a complex, so only exact zeros go
+
     def __add__(self, other):
         self._require_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return MultiVector(self.context, out, self.flavor)
+        return MultiVector._trusted(self.context, {m: c for m, c in out.items() if c},
+                                    self.flavor)
 
     def __sub__(self, other):
         self._require_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) - c
-        return MultiVector(self.context, out, self.flavor)
+        return MultiVector._trusted(self.context, {m: c for m, c in out.items() if c},
+                                    self.flavor)
 
     def __neg__(self):
-        return MultiVector(self.context, {m: -c for m, c in self.terms.items()}, self.flavor)
+        return MultiVector._trusted(self.context, {m: -c for m, c in self.terms.items()},
+                                    self.flavor)
 
     def _scaled(self, factor):
-        return MultiVector(self.context, {m: c * factor for m, c in self.terms.items()},
-                           self.flavor)
+        # c * factor as given: a complex times a float is not always
+        # bit-equal to a complex times complex(float)
+        terms = {m: p for m, c in self.terms.items() if (p := c * factor)}
+        if type(factor) not in (int, float, complex):
+            # a subclass (numpy's complex128) may return its own type
+            return MultiVector(self.context, terms, self.flavor)
+        return MultiVector._trusted(self.context, terms, self.flavor)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):

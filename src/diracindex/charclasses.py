@@ -216,7 +216,7 @@ class FormSeries:
 
 def _truncate(mv, cap):
     kept = {m: c for m, c in mv.terms.items() if m.bit_count() <= cap}
-    return MultiVector(mv.context, kept, mv.flavor)
+    return MultiVector._trusted(mv.context, kept, mv.flavor)
 
 
 def series_mul(a, b, cap=None):

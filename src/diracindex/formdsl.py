@@ -105,11 +105,23 @@ def tokenize(text, dim=None):
 
 _BINARY = {"add": "+", "sub": "-", "mul": "*", "wedge": "^"}
 
+# deepest nesting of parentheses and unary minus the parser accepts; each
+# level costs the recursive descent a few Python frames
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = list(tokens)
         self.pos = 0
+        self.depth = 0
+
+    def nest(self):
+        # called on an opening parenthesis or unary minus, before consuming it
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels "
+                      "of parentheses and unary minus")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -134,8 +146,10 @@ class _Parser:
 
     def parse_unary(self):
         if self.peek().kind == "minus":
+            self.nest()
             op = self.take()
             child = self.parse_unary()
+            self.depth -= 1
             return ("neg", child, (op.start, child[-1][1]))
         return self.parse_product()
 
@@ -167,11 +181,13 @@ class _Parser:
             self.take()
             return ("gen", tok.value, (tok.start, tok.end))
         if tok.kind == "lparen":
+            self.nest()
             lp = self.take()
             node = self.parse_sum()
             if self.peek().kind != "rparen":
                 self.fail("unbalanced parenthesis")
             rp = self.take()
+            self.depth -= 1
             return node[:-1] + ((lp.start, rp.end),)
         self.fail(f"expected a number, i, a generator, or '(', found {tok.kind}")
 
@@ -181,7 +197,8 @@ def parse(tokens):
 
     Nodes are tuples (kind, ..., span): ("scalar", complex, span),
     ("gen", index, span), ("neg", child, span), and ("add"|"sub"|"mul"|
-    "wedge", left, right, span).
+    "wedge", left, right, span).  Nesting past ``MAX_NESTING`` levels of
+    parentheses and unary minus is a DslError.
     """
     p = _Parser(tokens)
     node = p.parse_sum()
@@ -194,7 +211,20 @@ def eval_expr(ast, ctx):
     """Evaluate an ExprAst into an exterior MultiVector.
 
     * requires a scalar operand (either side); combining two forms needs ^.
+    A left-associated chain of binary nodes (a long sum, say) is folded in
+    a loop, leftmost operand first, so its length costs no recursion.
     """
+    spine = []
+    while ast[0] in _BINARY:
+        spine.append(ast)
+        ast = ast[1]
+    value = _eval_leaf(ast, ctx)
+    for node in reversed(spine):
+        value = _combine(node, value, eval_expr(node[2], ctx))
+    return value
+
+
+def _eval_leaf(ast, ctx):
     kind = ast[0]
     if kind == "scalar":
         return ctx.scalar(ast[1])
@@ -205,21 +235,22 @@ def eval_expr(ast, ctx):
         return ctx.generator(idx)
     if kind == "neg":
         return -eval_expr(ast[1], ctx)
-    left = eval_expr(ast[1], ctx)
-    right = eval_expr(ast[2], ctx)
+    raise DslError(f"malformed ast node {kind!r}", *ast[-1])
+
+
+def _combine(ast, left, right):
+    kind = ast[0]
     if kind == "add":
         return left + right
     if kind == "sub":
         return left - right
     if kind == "wedge":
         return wedge(left, right)
-    if kind == "mul":
-        if set(left.terms) <= {0}:
-            return right * left.terms.get(0, 0j)
-        if set(right.terms) <= {0}:
-            return left * right.terms.get(0, 0j)
-        raise DslError("'*' multiplies by scalars; combine forms with '^'", *ast[-1])
-    raise DslError(f"malformed ast node {kind!r}", *ast[-1])
+    if set(left.terms) <= {0}:  # mul
+        return right * left.terms.get(0, 0j)
+    if set(right.terms) <= {0}:
+        return left * right.terms.get(0, 0j)
+    raise DslError("'*' multiplies by scalars; combine forms with '^'", *ast[-1])
 
 
 # module-scope alias; shadows the builtin only inside importers who ask for it

@@ -244,6 +244,26 @@ def test_linear_operations_do_not_prune():
     assert len(back.terms) == 2
 
 
+def test_linear_operations_drop_exact_zeros():
+    rng = np.random.default_rng(7)
+    ctx = AlgebraContext(6)
+    a = random_multivector(ctx, rng)
+    b = MultiVector(ctx, {m: 1.0 for m in a.terms}, EXTERIOR)
+    for zero in (a - a, a + (-a), a * 0, 0.0 * a, a * 0j):
+        assert zero.is_zero() and zero.terms == {}
+    assert list(((a + b) - b).terms) == list(a.terms)  # order kept, nothing dropped
+    # a numpy complex factor multiplies as numpy does, then is stored as a
+    # Python complex, as a fresh MultiVector would store it
+    scaled = a * np.complex128(0.5 - 2j)
+    want = MultiVector(ctx, {m: c * np.complex128(0.5 - 2j) for m, c in a.terms.items()},
+                       EXTERIOR)
+    assert all(type(c) is complex for c in scaled.terms.values())
+    assert list(scaled.terms.items()) == list(want.terms.items())
+    for out in (a + b, a - b, -a, a * 2, 2.5 * a, a * (1 - 1j), a / 3):
+        assert all(type(m) is int for m in out.terms)
+        assert all(type(c) is complex and c != 0 for c in out.terms.values())
+
+
 def test_operator_sugar():
     rng = np.random.default_rng(5)
     ctx = AlgebraContext(4)
@@ -259,10 +279,18 @@ def test_operator_sugar():
     assert (2.0 * ca).max_norm() == 2 * ca.max_norm()
 
 
-# -- the numpy pair kernel against the dictionary pair loop ------------------
+# -- both product paths against the dictionary pair loop ---------------------
 
 PRODUCTS = [(wedge, reference.wedge, EXTERIOR),
             (clifford_mul, reference.clifford_mul, CLIFFORD)]
+
+
+def _paths(monkeypatch):
+    # every product through the numpy kernel alone (cut 0), then through the
+    # dictionary loop alone (a cut above any operands' pair count)
+    for path, cut in (("kernel", 0), ("loop", 1 << 62)):
+        monkeypatch.setattr(algebra, "_LOOP_PAIRS", cut)
+        yield path
 
 
 def _bits(mv):
@@ -287,60 +315,67 @@ def _element(ctx, rng, flavor, n_terms, integer=False):
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 12, 16])
 @pytest.mark.parametrize("product,loop,flavor", PRODUCTS, ids=["wedge", "clifford"])
-def test_products_equal_pair_loop(dim, product, loop, flavor):
+def test_products_equal_pair_loop(dim, product, loop, flavor, monkeypatch):
     rng = np.random.default_rng([29, dim])
     ctx = AlgebraContext(dim)
     dense = min(ctx.top_mask + 1, 256)  # every mask up to dim 8
+    pairs = []
     for na, nb in ((dense, dense), (40, 30), (1, 60), (60, 1), (3, 3)):
         na, nb = min(na, dense), min(nb, dense)
         for integer in (False, True):
-            a = _element(ctx, rng, flavor, na, integer)
-            b = _element(ctx, rng, flavor, nb, integer)
-            _assert_same(product(a, b), loop(a, b))
+            pairs.append((_element(ctx, rng, flavor, na, integer),
+                          _element(ctx, rng, flavor, nb, integer)))
     zero = MultiVector(ctx, {}, flavor)
     a = _element(ctx, rng, flavor, min(dense, 20))
-    for x, y in ((zero, a), (a, zero), (zero, zero)):
-        assert product(x, y).is_zero()
-        _assert_same(product(x, y), loop(x, y))
+    zeros = ((zero, a), (a, zero), (zero, zero))
+    for _ in _paths(monkeypatch):
+        for a, b in pairs:
+            _assert_same(product(a, b), loop(a, b))
+        for x, y in zeros:
+            assert product(x, y).is_zero()
+            _assert_same(product(x, y), loop(x, y))
 
 
 def test_products_spanning_many_chunks_equal_pair_loop(monkeypatch):
     rng = np.random.default_rng(31)
     ctx = AlgebraContext(12)
-    for product, loop, flavor in PRODUCTS:
-        # 400 x 300 pairs: 8 chunks of the kernel as it ships
-        a, b = _element(ctx, rng, flavor, 400), _element(ctx, rng, flavor, 300)
-        assert len(a.terms) * len(b.terms) > 4 * algebra._PAIR_CHUNK
-        _assert_same(product(a, b), loop(a, b))
+    for _ in _paths(monkeypatch):
+        for product, loop, flavor in PRODUCTS:
+            # 400 x 300 pairs: 8 chunks of the kernel as it ships
+            a, b = _element(ctx, rng, flavor, 400), _element(ctx, rng, flavor, 300)
+            assert len(a.terms) * len(b.terms) > 4 * algebra._PAIR_CHUNK
+            _assert_same(product(a, b), loop(a, b))
     # tiny chunks: several rows a chunk, and one row wider than a chunk
     monkeypatch.setattr(algebra, "_PAIR_CHUNK", 7)
-    for product, loop, flavor in PRODUCTS:
-        for na, nb in ((40, 3), (40, 30), (1, 60), (60, 1)):
-            for integer in (False, True):
-                a = _element(ctx, rng, flavor, na, integer)
-                b = _element(ctx, rng, flavor, nb, integer)
-                _assert_same(product(a, b), loop(a, b))
+    for _ in _paths(monkeypatch):
+        for product, loop, flavor in PRODUCTS:
+            for na, nb in ((40, 3), (40, 30), (1, 60), (60, 1)):
+                for integer in (False, True):
+                    a = _element(ctx, rng, flavor, na, integer)
+                    b = _element(ctx, rng, flavor, nb, integer)
+                    _assert_same(product(a, b), loop(a, b))
 
 
-def test_products_cancelling_to_zero_equal_pair_loop():
+def test_products_cancelling_to_zero_equal_pair_loop(monkeypatch):
     ctx = AlgebraContext(8)
     e1, e2 = ctx.generator(1, CLIFFORD), ctx.generator(2, CLIFFORD)
-    # (e1 + e2)(e1 - e2) = -1 + 1 - 2 e1 e2: the scalar sums to exactly 0
-    out = clifford_mul(e1 + e2, e1 - e2)
-    assert out.terms == {0b11: -2}
-    _assert_same(out, reference.clifford_mul(e1 + e2, e1 - e2))
-    # v ^ v and the bivector part of v v: each pair cancels against its mirror
     rng = np.random.default_rng(37)
-    for flavor, product, loop in ((EXTERIOR, wedge, reference.wedge),
-                                  (CLIFFORD, clifford_mul, reference.clifford_mul)):
-        v = MultiVector(ctx, {1 << k: complex(*rng.uniform(-1, 1, 2)) for k in range(8)},
-                        flavor)
-        out = product(v, v)
-        assert set(out.terms) <= {0}
-        _assert_same(out, loop(v, v))
+    vs = [MultiVector(ctx, {1 << k: complex(*rng.uniform(-1, 1, 2)) for k in range(8)},
+                      flavor) for flavor in (EXTERIOR, CLIFFORD)]
+    for _ in _paths(monkeypatch):
+        # (e1 + e2)(e1 - e2) = -1 + 1 - 2 e1 e2: the scalar sums to exactly 0
+        out = clifford_mul(e1 + e2, e1 - e2)
+        assert out.terms == {0b11: -2}
+        _assert_same(out, reference.clifford_mul(e1 + e2, e1 - e2))
+        # v ^ v and the bivector part of v v: each pair cancels against its mirror
+        for v, product, loop in ((vs[0], wedge, reference.wedge),
+                                 (vs[1], clifford_mul, reference.clifford_mul)):
+            out = product(v, v)
+            assert set(out.terms) <= {0}
+            _assert_same(out, loop(v, v))
 
 
-def test_products_pruning_equal_pair_loop():
+def test_products_pruning_equal_pair_loop(monkeypatch):
     rng = np.random.default_rng(41)
     ctx = AlgebraContext(8)
     for product, loop, flavor in PRODUCTS:
@@ -352,7 +387,39 @@ def test_products_pruning_equal_pair_loop():
                    for x in a.terms for y in b.terms if flavor == CLIFFORD or not x & y}
         out = loop(a, b)
         assert len(out.terms) < len(reached)  # the loop dropped dust
-        _assert_same(product(a, b), out)
+        for _ in _paths(monkeypatch):
+            _assert_same(product(a, b), out)
+
+
+def test_product_path_cut_is_inclusive(monkeypatch):
+    calls = []
+    kernel = algebra._pair_sums
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(algebra, "_pair_sums", spy)
+    rng = np.random.default_rng(43)
+    ctx = AlgebraContext(12)
+    cut = algebra._LOOP_PAIRS
+    for product, loop, flavor in PRODUCTS:
+        one = _element(ctx, rng, flavor, 1)
+        # at the shipped cut the loop runs; one pair past it the kernel does
+        for n_terms, kernel_calls in ((cut, 0), (cut + 1, 1)):
+            for a, b in ((one, _element(ctx, rng, flavor, n_terms)),
+                         (_element(ctx, rng, flavor, n_terms), one)):
+                calls.clear()
+                _assert_same(product(a, b), loop(a, b))
+                assert len(calls) == kernel_calls
+        # 12 x 16 operands with the cut moved onto their pair count and just under it
+        a, b = _element(ctx, rng, flavor, 12), _element(ctx, rng, flavor, 16)
+        for moved, kernel_calls in ((12 * 16, 0), (12 * 16 - 1, 1)):
+            monkeypatch.setattr(algebra, "_LOOP_PAIRS", moved)
+            calls.clear()
+            _assert_same(product(a, b), loop(a, b))
+            assert len(calls) == kernel_calls
+        monkeypatch.setattr(algebra, "_LOOP_PAIRS", cut)
 
 
 def test_hodge_sign_equals_pair_loop_sign():

@@ -217,6 +217,20 @@ def test_characteristic_file_errors_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+def test_characteristic_deep_or_long_expressions(capsys, tmp_path):
+    cell = " + ".join(["0.001*e1^e2"] * 1500)
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({"n": 1, "riemann": [[0, cell], [f"-({cell})", 0]]}))
+    code, out, _ = run(capsys, "characteristic", "--file", str(long), "--which", "ahat")
+    assert code == 0 and out.startswith("ahat series")
+    for cell in ("(" * 200 + "e1^e2" + ")" * 200, "-" * 3000 + "e1^e2"):
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({"n": 1, "riemann": [[0, cell], ["-e1^e2", 0]]}))
+        code, out, err = run(capsys, "characteristic", "--file", str(deep))
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "riemann[0][1]" in err and "nested deeper" in err
+
+
 def test_genfun_table_converges_but_misses_target(capsys):
     code, out, _ = run(capsys, "genfun", "--y", "0.5", "--cutoff", "20,30")
     doc_lines = [l for l in out.splitlines() if l.strip() and l.lstrip()[0].isdigit()]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from diracindex import formdsl
 from diracindex.algebra import AlgebraContext, wedge
 from diracindex.charclasses import RIEMANN, TWIST, chern_character
 from diracindex.formdsl import (CurvatureFormatError, DslError, eval_expr,
@@ -133,6 +134,40 @@ def test_eval_star_needs_scalar_operand():
     assert "^" in info.value.reason
     # scalar on either side is fine
     assert eval_expr(parse(tokenize("e1*3")), ctx).terms == {0b1: 3 + 0j}
+
+
+def test_eval_long_sum_folds_in_a_loop():
+    # far more terms than Python's recursion limit, summed left to right
+    ctx = AlgebraContext(4)
+    mv = eval_expr(parse(tokenize(" + ".join(["0.001*e1^e2"] * 1500))), ctx)
+    total = 0j
+    for _ in range(1500):
+        total = total + 0.001
+    assert mv.terms == {0b0011: total}
+    assert total != 1.5  # the order of the additions shows in the last bits
+    mixed = " - ".join(["e1^e2", "0.5*e1^e2^e3^e4*2", "i*e3^e4"] * 700)
+    assert eval_expr(parse(tokenize(mixed)), ctx).terms == {
+        0b0011: complex(-698, 0), 0b1111: complex(-700, 0), 0b1100: complex(0, -700)}
+
+
+def test_parse_refuses_deep_nesting():
+    depth = formdsl.MAX_NESTING
+    ctx = AlgebraContext(4)
+    for opener, closer in (("(", ")"), ("-", ""), ("-(", ")")):
+        levels = depth // len(opener)
+        ok = opener * levels + "e1^e2" + closer * levels
+        assert eval_expr(parse(tokenize(ok)), ctx).terms == {0b0011: (-1) ** (
+            levels * opener.count("-")) + 0j}
+        deep = opener * (levels + 1) + "e1^e2" + closer * (levels + 1)
+        with pytest.raises(DslError) as info:
+            parse(tokenize(deep))
+        # the span is the first opener past the limit
+        assert (info.value.start, info.value.end) == (depth, depth + 1)
+        assert "nested deeper" in info.value.reason
+    # 3000 unary minuses and 200 parentheses: refused, not a RecursionError
+    for text in ("-" * 3000 + "e1^e2", "(" * 200 + "e1^e2" + ")" * 200):
+        with pytest.raises(DslError):
+            parse(tokenize(text))
 
 
 def test_eval_generator_range_checked_against_context():
