@@ -246,7 +246,8 @@ def _combine(ast, left, right):
         return left - right
     if kind == "wedge":
         return wedge(left, right)
-    if set(left.terms) <= {0}:  # mul
+    # "mul": one side must be a scalar
+    if set(left.terms) <= {0}:
         return right * left.terms.get(0, 0j)
     if set(right.terms) <= {0}:
         return left * right.terms.get(0, 0j)
