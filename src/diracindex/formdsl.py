@@ -16,6 +16,7 @@ parsing, evaluation or container shape, is a positioned DslError; byte
 offsets refer to the UTF-8 encoding of the offending expression string.
 """
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -55,8 +56,9 @@ _TOKEN_RE = re.compile(
       | (?P<imag_unit>i)
       | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<caret>\^)
       | (?P<lparen>\() | (?P<rparen>\))
+      | (?P<space>\s+) | (?P<unknown>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -66,28 +68,18 @@ def tokenize(text, dim=None):
     Longest match wins.  With dim given, generator indices are range-checked
     here; otherwise they are checked at evaluation time against the context.
     """
-    if text.isascii():
-        byte_at = None
-    else:
-        byte_at = [0]
-        for ch in text:
-            byte_at.append(byte_at[-1] + len(ch.encode("utf-8")))
-
-    def bpos(i):
-        return i if byte_at is None else byte_at[i]
-
+    # byte offset of each character boundary, when they differ from the indices
+    byte_at = None if text.isascii() else [
+        0, *itertools.accumulate(len(ch.encode("utf-8")) for ch in text)]
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}",
-                           bpos(pos), bpos(pos + 1))
+    # every character starts a match, a run of whitespace one in all
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        span = (bpos(m.start()), bpos(m.end()))
+        if kind == "space":
+            continue
+        span = m.span() if byte_at is None else (byte_at[m.start()], byte_at[m.end()])
+        if kind == "unknown":
+            raise DslError(f"unexpected character {m.group()!r}", *span)
         value = None
         if kind == "number":
             value = float(m.group())
@@ -96,8 +88,8 @@ def tokenize(text, dim=None):
             if value < 1 or (dim is not None and value > dim):
                 raise DslError(f"generator index {value} outside 1..{dim}", *span)
         tokens.append(Token(kind, value, *span))
-        pos = m.end()
-    tokens.append(Token("end", None, bpos(len(text)), bpos(len(text))))
+    end = len(text) if byte_at is None else byte_at[-1]
+    tokens.append(Token("end", None, end, end))
     return tokens
 
 
@@ -306,8 +298,28 @@ def format_ast(node):
 
     Right operands at equal precedence are parenthesized, so association
     survives the round trip.  Negative scalar literals cannot be represented
-    (they print through unary minus and reparse as neg nodes).
+    (they print through unary minus and reparse as neg nodes).  A
+    left-associated chain of binary nodes is rendered in a loop, leftmost
+    operand first, so its length costs no recursion.
     """
+    spine = []
+    while node[0] in _BINARY:
+        spine.append(node)
+        node = node[1]
+    text = _format_leaf(node)
+    for parent in reversed(spine):
+        kind, left, right = parent[0], parent[1], parent[2]
+        if _PREC[left[0]] < _PREC[kind]:
+            text = f"({text})"
+        rs = format_ast(right)
+        if _PREC[right[0]] <= _PREC[kind]:
+            rs = f"({rs})"
+        op = _BINARY[kind]
+        text = f"{text} {op} {rs}" if kind in ("add", "sub") else f"{text}{op}{rs}"
+    return text
+
+
+def _format_leaf(node):
     kind = node[0]
     if kind == "scalar":
         v = node[1]
@@ -319,22 +331,10 @@ def format_ast(node):
         return body if sign == "+" else f"-{body}"
     if kind == "gen":
         return f"e{node[1]}"
-    if kind == "neg":
-        inner = format_ast(node[1])
-        if _PREC[node[1][0]] < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    op = _BINARY[kind]
-    left, right = node[1], node[2]
-    ls = format_ast(left)
-    if _PREC[left[0]] < _PREC[kind]:
-        ls = f"({ls})"
-    rs = format_ast(right)
-    if _PREC[right[0]] <= _PREC[kind]:
-        rs = f"({rs})"
-    if kind in ("add", "sub"):
-        return f"{ls} {op} {rs}"
-    return f"{ls}{op}{rs}"
+    inner = format_ast(node[1])  # neg
+    if _PREC[node[1][0]] < _PREC["neg"]:
+        inner = f"({inner})"
+    return f"-{inner}"
 
 
 # -- file container ------------------------------------------------------------

@@ -17,11 +17,16 @@ Both lattice counts read one eigendecomposition of H = Gamma (D - m): the
 overlap count is -(1/2) tr sign(H), the squared overlap spectrum comes off
 the chirality blocks of sign(H), each mode's chirality exact.  H is
 diagonalised in a basis adapted to the lattice symmetries the field has up
-to a gauge transformation: the inversion (x, y) -> (-x, -y) splits it into
-two blocks of N^2, and the x-reflection combined with complex conjugation
-makes every block real symmetric.  Every constant-flux background has both,
-so a case costs two real eigensolves of size N^2; a field with neither
-keeps one complex block of size 2 N^2.  Blocks are assembled from the links.
+to a gauge transformation, each solved from the links.  The quarter turn
+(x, y) -> (-y, x), normalised so that its fourth power is 1, splits H into
+four blocks of about N^2 / 2 by its eigenvalues 1, i, -1, -i (its square is
+the inversion (x, y) -> (-x, -y), which alone splits H into two blocks of
+N^2); the x-reflection combined with complex conjugation maps each block
+to itself and makes it real symmetric.  Every constant-flux background has
+all three, so a case costs four real eigensolves of about N^2 / 2; a field
+with none keeps one complex block of size 2 N^2.  Each block is joined
+straight from the nonzeros of D - m, at most two basis columns a row, so no
+(2 N^2)-square or (2 N^2, k) array is formed.
 
 Numerical-ambiguity failures (a flux sum far from an integer, a sign
 function fed a near-zero eigenvalue, a collapsed zero/nonzero gap) raise
@@ -316,35 +321,73 @@ def random_gauge_transform(gauge, rng):
 
 class _Symmetry(NamedTuple):
     # S e_r = weight[r] e_perm[r] on the 2 N^2 rows (site-major, spinor
-    # innermost); an antiunitary S conjugates the coefficients first
+    # innermost), with S^order = 1 for the order of its site map; an
+    # antiunitary S conjugates the coefficients first
+    site_map: tuple
     perm: np.ndarray
     weight: np.ndarray
     antiunitary: bool
 
 
-def _lattice_symmetry(links, flip_y, antiunitary, spinor):
-    """The site map (x, y) -> (-x, -y or y) as a symmetry of the field, or None.
+# site maps s -> M s with their order: the identity, the inversion
+# (x, y) -> (-x, -y), the x-reflection (x, y) -> (-x, y) and the quarter
+# turn (x, y) -> (-y, x)
+_IDENTITY = (((1, 0), (0, 1)), 1)
+_INVERSION = (((-1, 0), (0, -1)), 2)
+_X_REFLECTION = (((-1, 0), (0, 1)), 2)
+_QUARTER_TURN = (((0, -1), (1, 0)), 4)
 
-    The map sends the link leaving s in direction mu to one at sigma(s).
-    Where it reverses mu, that is the link leaving sigma(s) - mu, run
-    backwards: conj U_mu(sigma(s) - mu).  An antiunitary map conjugates once
-    more.  The field is symmetric when these image links are a gauge
-    transform of its own, image_mu(s) = alpha(s) U_mu(s) conj alpha(s + mu).
-    alpha is solved from the links by cumulative products down the column
-    x = 0, then along x, and accepted only if every link matches to 1e-12.
-    spinor is the map's diagonal spinor factor, the one that carries each
-    hop's r - gamma_mu into the image hop's.
+
+def _read_only(*arrays):
+    # the index tables below are cached per lattice size and shared
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=32)
+def _site_map_tables(size, site_map):
+    """Index tables of a site map sigma on a size x size lattice.
+
+    perm sends each of the 2 N^2 rows to its image row.  M sends each
+    direction mu to +-nu, so the link leaving s in direction mu goes to the
+    nu link leaving sigma(s), or, where M reverses it, to the one leaving
+    sigma(s) - nu, run backwards; source[mu] indexes that link in the
+    flattened links, and reverse[mu] says whether it is run backwards.
+    """
+    (m, _) = site_map
+    x, y = np.indices((size, size))
+    sx = (m[0][0] * x + m[0][1] * y) % size
+    sy = (m[1][0] * x + m[1][1] * y) % size
+    source, reverse = [], []
+    for mu in range(2):
+        nu = 0 if m[0][mu] else 1
+        back = m[nu][mu] < 0
+        source.append(nu * size * size + (sx - (back and nu == 0)) % size * size
+                      + (sy - (back and nu == 1)) % size)
+        reverse.append(back)
+    perm = (2 * (sx * size + sy).reshape(-1, 1) + np.arange(2)).ravel()
+    return _read_only(perm, np.stack(source)) + (tuple(reverse),)
+
+
+def _lattice_symmetry(links, site_map, antiunitary, spinor):
+    """The site map s -> sigma(s) as a symmetry of the field, or None.
+
+    The link leaving s in direction mu goes to one at sigma(s)
+    (_site_map_tables); a link run backwards is conj U, and an antiunitary
+    map conjugates once more.  The field is symmetric when these image links
+    are a gauge transform of its own, image_mu(s) = alpha(s) U_mu(s) conj
+    alpha(s + mu).  alpha is solved from the links by cumulative products
+    down the column x = 0, then along x, and accepted only if every link
+    matches to 1e-12.  spinor is the map's diagonal spinor factor, the one
+    that carries each hop's r - gamma_mu into the image hop's.
     """
     ux, uy = links
     n = ux.shape[0]
-    sx = (-np.arange(n) % n)[:, None]
-    sy = (-np.arange(n) % n if flip_y else np.arange(n))[None, :]
-    image_x = ux[(sx - 1) % n, sy]
-    image_y = uy[sx, (sy - 1) % n] if flip_y else uy[sx, sy]
-    if not antiunitary:
-        image_x = image_x.conj()
-    if flip_y != antiunitary:
-        image_y = image_y.conj()
+    perm, source, reverse = _site_map_tables(n, site_map)
+    image_x, image_y = (image.conj() if back != antiunitary else image
+                        for image, back in zip(links.ravel()[source], reverse))
     # alpha(s + mu) = alpha(s) U_mu(s) conj image_mu(s)
     step_x = ux * image_x.conj()
     step_y = uy * image_y.conj()
@@ -355,66 +398,114 @@ def _lattice_symmetry(links, flip_y, antiunitary, spinor):
         moved = alpha * u * np.roll(alpha, -1, axis=axis).conj()
         if np.max(np.abs(moved - image)) > 1e-12:
             return None
-    target = (sx * n + sy).ravel()
     phase = alpha.conj() if antiunitary else alpha
-    return _Symmetry(perm=(2 * target[:, None] + np.arange(2)).ravel(),
+    return _Symmetry(site_map=site_map, perm=perm,
                      weight=(phase.reshape(-1, 1) * spinor).ravel(),
                      antiunitary=antiunitary)
 
 
-def _refine(block, sym):
-    """Adapt a block's basis columns to one more symmetry S.
+@functools.lru_cache(maxsize=32)
+def _orbit_tables(size, unitary, antiunitary):
+    """The rows' orbits under a unitary site map of order k, and their images.
 
-    A block is (rows, coefs), both (columns, k): column j is the sum of
-    coefs[j] times the unit vectors at rows[j].  The columns span orbits of
-    the symmetries applied before, one column per orbit, and S commutes with
-    those, so S v is a multiple of the column on the image orbit.  A pair
-    (v, S v) is kept by the column with the smaller leading row; a column
-    with S v = lambda v is its own image.  A unitary involution splits the
-    block into its eigenspaces, v + p S v for p = +1, -1.  An antiunitary
-    one keeps the block and makes each column invariant, c v + S(c v) with
-    c = 1, i on a pair and c = sqrt(lambda) on a fixed column.  Columns stay
-    orthonormal, each on one spinor component.
+    reps are the rows that lead their orbit, members[j, :length[j]] is the
+    orbit of reps[j] in map order (padded by repeats to k; on masks the
+    orbit itself), owner[r] the orbit holding row r; the antiunitary site
+    map, if any, sends reps[j] into orbit image[j] (None without one).
     """
-    rows, coefs = block
-    img_rows = sym.perm[rows]
-    img_coefs = sym.weight[rows] * (coefs.conj() if sym.antiunitary else coefs)
-    lead, img_lead = rows.min(axis=1), img_rows.min(axis=1)
-    pair = np.flatnonzero(lead < img_lead)
-    fixed = np.flatnonzero(lead == img_lead)
-    same = (rows[fixed, :, None] == img_rows[fixed, None, :]).astype(float)
-    lam = np.einsum("ca,cab,cb->c", coefs[fixed].conj(), same, img_coefs[fixed])
-
-    def combine(take, a, b):
-        # columns a v + b (S v), S v written with its own rows and coefs
-        return (np.concatenate([rows[take], img_rows[take]], axis=1),
-                np.concatenate([a[:, None] * coefs[take],
-                                b[:, None] * img_coefs[take]], axis=1))
-
-    half = math.sqrt(0.5)
-    if sym.antiunitary:
-        take = np.concatenate([pair, pair, fixed])
-        c = np.concatenate([np.ones(len(pair)), np.full(len(pair), 1j), np.sqrt(lam)])
-        norm = np.concatenate([np.full(2 * len(pair), half), np.full(len(fixed), 0.5)])
-        return [combine(take, c * norm, c.conj() * norm)]
-    parts = []
-    for p in (1.0, -1.0):
-        own = fixed[lam.real * p > 0]
-        norm = np.concatenate([np.full(len(pair), half), np.full(len(own), 0.5)])
-        parts.append(combine(np.concatenate([pair, own]), norm, p * norm))
-    return parts
+    dim = 2 * size * size
+    perm = _site_map_tables(size, unitary)[0]
+    orbit = [np.arange(dim)]
+    for _ in range(unitary[1]):
+        orbit.append(perm[orbit[-1]])
+    orbit = np.stack(orbit, axis=1)
+    reps = np.flatnonzero(orbit.min(axis=1) == np.arange(dim))
+    length = np.argmax(orbit[reps, 1:] == reps[:, None], axis=1) + 1
+    members = orbit[reps, :-1]
+    on = np.arange(unitary[1]) < length[:, None]
+    owner = np.empty(dim, dtype=int)
+    owner[members[on]] = on.nonzero()[0]
+    image = owner[_site_map_tables(size, antiunitary)[0][reps]] if antiunitary else None
+    return _read_only(reps, members, length, on, owner, image)
 
 
-def _symmetry_blocks(dim, symmetries):
-    """Orthonormal basis of the dim rows adapted to the symmetries, per block.
+class _Basis(NamedTuple):
+    # the adapted basis V row by row: row r has coefficient coef[e, b, r] in
+    # column col[e, b, r] of block b, for each of its (one or two) slots e; an
+    # unused slot has coefficient 0.  chirality[b] is Gamma on block b's columns
+    col: np.ndarray
+    coef: np.ndarray
+    chirality: tuple
+    real: bool
 
-    Starts from the identity, one block of unit columns, and lets each
-    symmetry refine it; with no symmetry it stays that block.
+
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k at k mod 4
+
+
+def _symmetry_basis(chirality, symmetries):
+    """Orthonormal basis of the rows adapted to the symmetries, per block.
+
+    The unitary symmetry U, of order k = 4 (the quarter turn), 2 (the
+    inversion) or 1 (none: the identity), splits the rows by its eigenvalues
+    lambda = i^(4 b / k), b < k.  A U-orbit of d rows, U^d e_r = mu e_r, gives
+    one column per lambda with lambda^d = mu, sum_j lambda^-j U^j e_r / sqrt d
+    over the orbit.  The antiunitary x-reflection T, if present, maps each
+    such column to a multiple mu_T of a column of the same block, on the
+    image orbit.  A pair of columns (v, T v) is taken over by the one with the
+    smaller leading row, as c v + T(c v) for c = 1, i over sqrt 2; a column
+    with T v = mu_T v becomes sqrt(mu_T) v.  Each block is then real, and
+    each row lies in at most two of its columns.  Columns are orthonormal,
+    each on one spinor component; empty blocks are dropped.
     """
-    blocks = [(np.arange(dim)[:, None], np.ones((dim, 1), dtype=complex))]
-    for sym in symmetries:
-        blocks = [part for block in blocks for part in _refine(block, sym)]
-    return blocks
+    dim = len(chirality)
+    [u] = [s for s in symmetries if not s.antiunitary] or [
+        _Symmetry(_IDENTITY, np.arange(dim), np.ones(dim), False)]
+    [t] = [s for s in symmetries if s.antiunitary] or [None]
+    k = u.site_map[1]
+    size = math.isqrt(dim // 2)
+    reps, members, length, on, owner, image = _orbit_tables(
+        size, u.site_map, t and t.site_map)
+    # U^j e_rep = phase[:, j] e_members[:, j]; one column per orbit and block
+    phase = np.ones((len(reps), k + 1), dtype=complex)
+    phase[:, 1:] = np.cumprod(u.weight[members], axis=1)
+    power = (4 // k) * np.arange(k)[:, None, None]
+    exists = np.abs(_I_POWERS[power[..., 0] * length % 4]
+                    - phase[np.arange(len(reps)), length]) < 0.5
+    amp = np.zeros((k, dim), dtype=complex)
+    amp[:, members[on]] = (_I_POWERS[-power * np.arange(k) % 4] * phase[:, :k]
+                           / np.sqrt(length)[:, None])[:, on] * exists[:, on.nonzero()[0]]
+    # per U-column: its columns in the final block and the mixing coefficients
+    if t is not None:
+        # T e_rep = weight e_image_row, which the image column holds with amp
+        image_rows = t.perm[reps]
+        mu_t = t.weight[reps] * np.conj(amp[:, reps] * amp[:, image_rows]) * length
+        lead, fixed = reps < reps[image], image == np.arange(len(reps))
+        width = np.where(lead, 2, fixed.astype(int)) * exists
+        start = np.cumsum(width, axis=1) - width
+        start = np.where(lead | fixed, start, start[:, image])
+        newcol = start[..., None] + np.outer(~fixed, (0, 1))
+        half = math.sqrt(0.5)
+        mix = np.zeros((k, len(reps), 2), dtype=complex)
+        mix[:, lead] = (half, 1j * half)
+        partner = ~(lead | fixed)
+        mix[:, partner] = mu_t[:, image[partner], None] * (half, -1j * half)
+        mix[:, fixed, 0] = np.sqrt(mu_t[:, fixed])
+    else:
+        width = exists.astype(int)
+        newcol = (np.cumsum(width, axis=1) - 1)[..., None]
+        mix = np.ones((k, len(reps), 1))
+    sizes = width.sum(axis=1)
+    keep = np.flatnonzero(sizes)
+    blocks = []
+    for b in keep:
+        chi = np.empty(sizes[b])
+        chi[newcol[b, exists[b]]] = chirality[reps[exists[b]], None]
+        blocks.append(chi)
+    newcol = np.where(exists[..., None], newcol, 0)  # absent columns: coefficient 0
+    mix = np.moveaxis(mix[keep], -1, 0)
+    return _Basis(col=np.moveaxis(newcol[keep], -1, 0)[:, :, owner],
+                  coef=amp[keep] * mix[:, :, owner],
+                  chirality=tuple(blocks), real=t is not None)
 
 
 def _hop_blocks(links):
@@ -426,34 +517,57 @@ def _hop_blocks(links):
             for u, gamma in zip(links, (GAMMA1, GAMMA2))]
 
 
-def _wilson_block(links, rows, coefs, mass):
-    """V^dagger (D - m) V for the columns of one block, V[rows[j], j] = coefs[j].
+@functools.lru_cache(maxsize=32)
+def _kernel_pattern(size):
+    """The nonzeros of D - m on a size x size lattice, as index arrays.
 
-    D - m sends the unit vector at site s, spinor b, to 2 - m on itself and to
-    column b of the hop blocks D[s -+ mu, s]: nine entries per nonzero of V,
-    scattered into (D - m) V, out of which V^dagger is gathered by index
-    (the identity basis needs no gather).
+    Column t = (s, b) holds 2 - m on itself and column b of the hop blocks
+    D[s - mu, s] and D[s + mu, s]: nine rows.  source indexes the four hop
+    block arrays of _hop_blocks, flattened and concatenated, with 2 - m
+    appended last.
     """
-    n = links.shape[1]
-    sites = np.arange(n * n).reshape(n, n)
-    site, spin = np.divmod(rows, 2)
-    amp = coefs[..., None]
-    targets, values = [rows[..., None]], [(2.0 - mass) * amp]
-    for mu, (ahead, back) in enumerate(_hop_blocks(links)):
+    dim = 2 * size * size
+    sites = np.arange(size * size).reshape(size, size)
+    site, spin = np.divmod(np.arange(dim), 2)
+    rows, source = [np.arange(dim)[:, None]], [np.full((dim, 1), 8 * dim)]
+    for mu in range(2):
         before = np.roll(sites, 1, axis=mu).ravel()[site]
         after = np.roll(sites, -1, axis=mu).ravel()[site]
-        targets += [2 * before[..., None] + (0, 1), 2 * after[..., None] + (0, 1)]
-        values += [ahead[before, :, spin] * amp, back[site, :, spin] * amp]
-    dv = np.zeros((2 * n * n, len(rows)), dtype=complex)
-    cols = np.arange(len(rows))[:, None, None]
-    np.add.at(dv, (np.concatenate(targets, axis=-1), cols), np.concatenate(values, axis=-1))
-    if (rows.shape[1] == 1 and np.array_equal(rows[:, 0], np.arange(len(dv)))
-            and np.all(coefs == 1)):
-        return dv  # the identity basis of a field with no symmetry: V = 1
-    vdv = np.zeros((len(rows), len(rows)), dtype=complex)
-    for r, c in zip(rows.T, coefs.T):
-        vdv += c.conj()[:, None] * dv[r]
-    return vdv
+        rows += [2 * before[:, None] + (0, 1), 2 * after[:, None] + (0, 1)]
+        # entry (a, spin) of D[before, s], then of D[after, s]
+        source += [4 * mu * dim + 4 * before[:, None] + (0, 2) + spin[:, None],
+                   (4 * mu + 2) * dim + 4 * site[:, None] + (0, 2) + spin[:, None]]
+    return _read_only(np.concatenate(rows, axis=1).ravel(), np.repeat(np.arange(dim), 9),
+                      np.concatenate(source, axis=1).ravel())
+
+
+def _kernel_blocks(links, chirality, basis, mass):
+    """V^dagger Gamma (D - m) V on each block of the basis, joined on the rows of V.
+
+    Each nonzero H[r, t] of H = Gamma (D - m) (_kernel_pattern) adds conj
+    V[r, i] H[r, t] V[t, j] to entry (i, j) of a block for every column i
+    holding row r and j holding row t there, at most two each; one bincount
+    sums every block at once, and no (2 N^2, k) array is formed.
+    """
+    rows, cols, source = _kernel_pattern(links.shape[1])
+    hops = np.concatenate([block.ravel() for pair in _hop_blocks(links) for block in pair]
+                          + [[2.0 - mass]])
+    values = chirality[rows] * hops[source]
+    sizes = np.array([len(chi) for chi in basis.chirality])
+    ends = np.cumsum(sizes * sizes)
+    # axes: slot of row r, slot of row t, block, nonzero
+    col_r, col_t = basis.col.take(rows, axis=-1), basis.col.take(cols, axis=-1)
+    flat = ((ends - sizes * sizes)[:, None] + sizes[:, None] * col_r[:, None]
+            + col_t[None]).ravel()
+    weights = (basis.coef.take(rows, axis=-1)[:, None].conj()
+               * (values * basis.coef.take(cols, axis=-1))[None]).ravel()
+    if basis.real:
+        entries = np.bincount(flat, weights.real, minlength=ends[-1])
+    else:
+        entries = np.empty(ends[-1], dtype=complex)
+        entries.real = np.bincount(flat, weights.real, minlength=ends[-1])
+        entries.imag = np.bincount(flat, weights.imag, minlength=ends[-1])
+    return [entries[end - k * k:end].reshape(k, k) for k, end in zip(sizes, ends)]
 
 
 @dataclass(frozen=True)
@@ -462,9 +576,11 @@ class WilsonDiracOperator:
 
     chirality is Gamma's diagonal on the 2 N^2 rows (site-major, spinor
     innermost), +1 on even and -1 on odd rows; the mass is the one the overlap
-    construction subtracts.  The kernel Gamma (D - m) is diagonalised once, on
-    first use, per block of the basis adapted to the lattice symmetries found
-    in the field, and refused when it has no gap at zero.
+    construction subtracts.  symmetries holds those found in the field: the
+    quarter turn, or failing it the inversion, and the x-reflection.  The
+    kernel Gamma (D - m) is diagonalised once, on first use, per block of the
+    basis adapted to them (four real blocks of about N^2 / 2 on a
+    constant-flux field), and refused when it has no gap at zero.
     """
 
     links: np.ndarray
@@ -480,16 +596,9 @@ class WilsonDiracOperator:
     @functools.cached_property
     def _kernel_eigh(self):
         # per block: eigenvalues, eigenvectors, the chirality of each column
-        real = any(sym.antiunitary for sym in self.symmetries)
-        out = []
-        for rows, coefs in _symmetry_blocks(len(self.chirality), self.symmetries):
-            # each column lies on one spinor component, so Gamma V = V chi and
-            # V^dagger Gamma (D - m) V = chi V^dagger (D - m) V
-            chi = self.chirality[rows[:, 0]]
-            h = _wilson_block(self.links, rows, coefs, self.mass)
-            h = chi[:, None] * (h.real if real else h)
-            evals, vecs = np.linalg.eigh(h)
-            out.append((evals, vecs, chi))
+        basis = _symmetry_basis(self.chirality, self.symmetries)
+        out = [(*np.linalg.eigh(h), chi) for h, chi in zip(
+            _kernel_blocks(self.links, self.chirality, basis, self.mass), basis.chirality)]
         low = min(float(np.min(np.abs(evals))) for evals, _, _ in out)
         if low < ZERO_TOL:
             raise AmbiguousSpectrumError(
@@ -499,12 +608,16 @@ class WilsonDiracOperator:
 
 
 def torus_case_bytes(size):
-    """Peak bytes of a constant-flux torus case, at the second block's assembly.
+    """Peak bytes of a constant-flux torus case, 16 N^4 + 16384 N^2.
 
-    D V (32 N^4), V^dagger D V with two gather temporaries (48 N^4), and the
-    first block's kernel and eigenvectors (16 N^4); tracemalloc agrees.
+    The four symmetry blocks, about N^2 / 2 square each, share one array of
+    8 N^4 bytes, and their eigenvectors take 8 N^4 more by the last eigh;
+    before that, the join holds a few arrays over the 4 x 4 slot pairs of
+    the 18 N^2 nonzeros of D - m, at most 16 kB a site.  tracemalloc reads
+    0.65 (N = 32) to 0.89 (N = 8) of this for N from 8 to 64.  LAPACK's own
+    workspace is not counted.
     """
-    return 96 * size**4
+    return 16 * size**4 + 16384 * size**2
 
 
 def build_wilson_dirac(gauge, mass=1.0):
@@ -529,10 +642,13 @@ def build_wilson_dirac(gauge, mass=1.0):
     if herm_defect > 1e-12:
         raise ChiralityDefectError(f"chirality-hermiticity defect {herm_defect:.3e}")
     # the inversion reverses both hops, and GAMMA5 anticommutes with both
-    # gamma_mu; the x-reflection reverses x hops only, and conjugation flips
-    # the imaginary gamma_1 = sigma_2 alone, so its spinor factor is 1
-    found = (_lattice_symmetry(gauge.links, True, False, spinor_signs),
-             _lattice_symmetry(gauge.links, False, True, np.ones(2)))
+    # gamma_mu; the quarter turn takes gamma_1 to gamma_2 and gamma_2 to
+    # -gamma_1 under diag(1, -i) (so that it squares to the inversion); the
+    # x-reflection reverses x hops only, and conjugation flips the imaginary
+    # gamma_1 = sigma_2 alone, so its spinor factor is 1
+    unitary = (_lattice_symmetry(gauge.links, _QUARTER_TURN, False, np.array([1.0, -1.0j]))
+               or _lattice_symmetry(gauge.links, _INVERSION, False, spinor_signs))
+    found = (unitary, _lattice_symmetry(gauge.links, _X_REFLECTION, True, np.ones(2)))
     return WilsonDiracOperator(
         links=gauge.links, chirality=np.tile(spinor_signs, gauge.size**2), mass=mass,
         label=f"torus N={gauge.size} q={gauge.flux_quantum}",

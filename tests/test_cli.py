@@ -89,12 +89,12 @@ def test_index_torus_refuses_oversized_lattice(capsys, monkeypatch):
         raise AssertionError("the case ran")
 
     monkeypatch.setattr(cli, "run_torus_case", must_not_run)
-    code, out, err = run(capsys, "index-torus", "--N", "64", "--q", "1")
+    code, out, err = run(capsys, "index-torus", "--N", "88", "--q", "1")
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "--N 64" in err and "budget" in err
-    # the limit the README documents: N = 57 fits, N = 58 does not
-    assert torus_case_bytes(57) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(58)
+    assert err.count("\n") == 1 and "--N 88" in err and "budget" in err
+    # the limit the README documents: N = 87 fits, N = 88 does not
+    assert torus_case_bytes(87) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(88)
 
 
 def test_index_sphere_refuses_oversized_fixture(capsys, monkeypatch):

@@ -64,6 +64,24 @@ def test_tokenize_byte_offsets_non_ascii():
     assert (info.value.start, info.value.end) == (2, 4)
 
 
+def test_tokenize_non_ascii_whitespace_and_errors_keep_byte_spans():
+    # no-break space (2 bytes), ideographic and em spaces (3 bytes) are
+    # skipped as whitespace; spans and error positions count bytes
+    toks = tokenize("2\u00a0*\u3000e1 ^ e2\u2003")
+    assert [tuple(t) for t in toks] == [
+        ("number", 2.0, 0, 1), ("star", None, 3, 4), ("generator", 1, 7, 9),
+        ("caret", None, 10, 11), ("generator", 2, 12, 14), ("end", None, 17, 17)]
+    for text, span, message in (
+            ("e1\u00a0\u00d7\u00a0e2", (4, 6), "unexpected character '\u00d7'"),
+            ("e1 +\u200be2", (4, 7), "unexpected character '\\u200b'"),
+            ("\u3000\u3000e99", (6, 9), "generator index 99 outside 1..4"),
+            ("e1\n\t+ \u00e9", (6, 8), "unexpected character '\u00e9'")):
+        with pytest.raises(DslError) as info:
+            tokenize(text, dim=4)
+        assert (info.value.start, info.value.end) == span
+        assert str(info.value).startswith(message)
+
+
 def test_parse_precedence():
     ast = parse(tokenize("2*e1^e2 - e3^e4"))
     assert strip(ast) == (
@@ -218,6 +236,20 @@ def test_format_ast_print_parse_identity():
         ast = random_ast(rng, dim=4, depth=int(rng.integers(1, 5)))
         text = format_ast(ast)
         assert strip(parse(tokenize(text))) == strip(ast)
+
+
+def test_format_ast_long_sum_renders_in_a_loop():
+    # a left-associated chain longer than Python's recursion limit prints
+    # back to its own text, which reparses to the same tree
+    text = " + ".join(["0.001*e1^e2"] * 1500)
+    ast = parse(tokenize(text))
+    assert format_ast(ast) == text
+    again = parse(tokenize(format_ast(ast)))
+    # compare along the left spine in a loop; tuple == would recurse down it
+    while ast[0] == "add":
+        assert again[0] == "add" and again[2:] == ast[2:]
+        ast, again = ast[1], again[1]
+    assert again == ast
 
 
 def write_json(tmp_path, name, doc):

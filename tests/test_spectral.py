@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ from diracindex.spectral import (
     sphere_monopole_fixture,
     sphere_tail_bound,
     topological_flux,
+    torus_case_bytes,
     witten_index,
     zero_mode_asymmetry,
 )
-from diracindex.spectral import _symmetry_blocks
-from wilson_reference import dense_kernel, dense_wilson, overlap_operator
+from diracindex.spectral import (_INVERSION, _QUARTER_TURN, _X_REFLECTION,
+                                 _lattice_symmetry, _symmetry_basis)
+from wilson_reference import basis_matrices, dense_kernel, dense_wilson, overlap_operator
 
 TWO_PI = 2.0 * math.pi
 
@@ -327,7 +330,7 @@ def test_chirality_blocks_give_sharp_heat_spectrum(size, q, mass):
 
 @pytest.mark.parametrize("method", ["overlap", "heat"])
 def test_one_kernel_eigh_per_torus_case(monkeypatch, method):
-    # two real symmetry blocks of N^2, each split once more by chirality
+    # four real symmetry blocks of about N^2/2, each split once more by chirality
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -341,24 +344,27 @@ def test_one_kernel_eigh_per_torus_case(monkeypatch, method):
     assert report.passed
     eigh = [(dim, dtype) for name, dim, dtype in calls if name == "eigh"]
     eigvalsh = [dim for name, dim, _ in calls if name == "eigvalsh"]
-    assert eigh == [(64, np.float64), (64, np.float64)]
-    assert len(eigvalsh) == 4 and sum(eigvalsh) == 128
+    assert len(eigh) == 4 and all(dtype == np.float64 for _, dtype in eigh)
+    assert sum(dim for dim, _ in eigh) == 128 and max(dim for dim, _ in eigh) <= 33
+    assert len(eigvalsh) == 8 and sum(eigvalsh) == 128
 
 
 def test_torus_case_memory_peak():
     # the operator is its links: a case never holds a (2N^2)-square matrix,
-    # only one symmetry block in assembly (torus_case_bytes models the peak)
-    size = 16
-    gauge = build_torus_gauge(size, 3)
-    tracemalloc.start()
-    try:
-        op = build_wilson_dirac(gauge)
-        overlap_index(op)
-        heat_kernel_system(op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * 16 * (2 * size * size) ** 2
+    # only its four symmetry blocks; torus_case_bytes, which index-torus
+    # checks against its budget, bounds the peak and is not loose
+    for size in (16, 24):
+        gauge = build_torus_gauge(size, 3)
+        tracemalloc.start()
+        try:
+            op = build_wilson_dirac(gauge)
+            overlap_index(op)
+            heat_kernel_system(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * (2 * size * size) ** 2
+        assert 0.6 * torus_case_bytes(size) < peak <= torus_case_bytes(size)
 
 
 def test_sphere_case_memory_peak():
@@ -392,7 +398,22 @@ def _assert_matches_full_matrix(op):
 _SWEEP_RNG = np.random.default_rng(505)
 SWEEP = [(size, int(_SWEEP_RNG.integers(-3, 4)),
           round(float(_SWEEP_RNG.uniform(0.3, 1.7)), 3), twisted)
-         for size in (5, 6, 7, 8) for twisted in (False, True)]
+         for size in (5, 6, 7, 8, 9, 10) for twisted in (False, True)]
+
+
+def _bumped(gauge, axis, amplitude=0.3):
+    # a flux-neutral bump on the links of one direction: the y links by a
+    # sine in x, which the inversion and the x-reflection keep, or the x
+    # links by a cosine in y, which the x-reflection alone keeps; the
+    # quarter turn keeps neither
+    n = gauge.size
+    wave = np.arange(n) * TWO_PI / n
+    links = gauge.links.copy()
+    if axis == 1:
+        links[1] *= np.exp(1j * amplitude * np.sin(wave))[:, None]
+    else:
+        links[0] *= np.exp(1j * amplitude * np.cos(wave))[None, :]
+    return LatticeGaugeField(links, gauge.flux_quantum)
 
 
 @pytest.mark.parametrize("size,q,mass,twisted", SWEEP)
@@ -401,11 +422,117 @@ def test_symmetry_blocks_match_full_matrix(size, q, mass, twisted):
     if twisted:
         gauge = random_gauge_transform(gauge, np.random.default_rng(size))
     op = build_wilson_dirac(gauge, mass=mass)
-    assert [sym.antiunitary for sym in op.symmetries] == [False, True]
-    assert [len(evals) for evals, _, _ in op._kernel_eigh] == [size * size] * 2
+    assert [(sym.site_map, sym.antiunitary) for sym in op.symmetries] == [
+        (_QUARTER_TURN, False), (_X_REFLECTION, True)]
+    dims = [len(evals) for evals, _, _ in op._kernel_eigh]
+    assert len(dims) == 4 and sum(dims) == 2 * size * size
+    assert max(dims) <= size * size // 2 + 1
     heat = _assert_matches_full_matrix(op)
     zeros = heat.chiralities[heat.eigenvalues <= 1e-10].tolist()
     assert zeros == [int(np.sign(q))] * abs(q)
+
+
+@pytest.mark.parametrize("size,twisted", [(6, False), (7, True), (8, True)])
+def test_partly_symmetric_fields_keep_the_blocks_they_have(size, twisted):
+    # a bump in the y links keeps the inversion and the x-reflection (two
+    # real blocks), one in the x links the x-reflection alone (one real
+    # block); the index is the flux either way
+    rng = np.random.default_rng(40 + size)
+    for axis, maps, dims in ((1, [_INVERSION, _X_REFLECTION], [size * size] * 2),
+                             (0, [_X_REFLECTION], [2 * size * size])):
+        gauge = _bumped(build_torus_gauge(size, 2), axis)
+        if twisted:
+            gauge = random_gauge_transform(gauge, rng)
+        assert topological_flux(gauge) == 2
+        op = build_wilson_dirac(gauge, mass=0.9)
+        assert [sym.site_map for sym in op.symmetries] == maps
+        assert [len(evals) for evals, _, _ in op._kernel_eigh] == dims
+        assert all(not np.iscomplexobj(vecs) for _, vecs, _ in op._kernel_eigh)
+        heat = _assert_matches_full_matrix(op)
+        assert overlap_index(op) == zero_mode_asymmetry(heat) == 2
+
+
+@pytest.mark.parametrize("size", [5, 6])
+def test_every_subset_of_symmetries_gives_the_same_spectrum(size):
+    # the quarter turn, the inversion and the x-reflection, alone or with
+    # the reflection, each give blocks whose spectra are the full kernel's
+    gauge = random_gauge_transform(build_torus_gauge(size, -2), np.random.default_rng(3))
+    op = build_wilson_dirac(gauge, mass=1.3)
+    turn, reflection = op.symmetries
+    inversion = _lattice_symmetry(gauge.links, _INVERSION, False, GAMMA5.diagonal().real)
+    assert inversion is not None
+    full = np.linalg.eigvalsh(dense_kernel(op))
+    subsets = [(), (turn,), (inversion,), (reflection,), (inversion, reflection),
+               (reflection, turn)]
+    for subset in subsets:
+        blocked = replace(op, symmetries=subset)
+        evals = np.sort(np.concatenate([e for e, _, _ in blocked._kernel_eigh]))
+        assert np.max(np.abs(evals - full)) <= 1e-12
+        assert overlap_index(blocked) == -2
+
+
+def test_index_is_the_flux_across_the_mass_window():
+    # seeded loop (CI installs no hypothesis): for |q| <= 3 and N >= 6 the
+    # crossings of the physical branch sit below m = 0.25 and those of the
+    # doublers above 1.75, so between them both counts equal the flux,
+    # unless the spectrum is refused as ambiguous; never another integer
+    rng = np.random.default_rng(707)
+    resolved = 0
+    for _ in range(24):
+        size, q = int(rng.integers(6, 13)), int(rng.integers(-3, 4))
+        mass = float(rng.uniform(0.3, 1.7))
+        op = build_wilson_dirac(build_torus_gauge(size, q), mass=mass)
+        try:
+            counts = (overlap_index(op), zero_mode_asymmetry(heat_kernel_system(op)))
+        except AmbiguousSpectrumError:
+            continue
+        assert counts == (q, q), (size, q, mass)
+        resolved += 1
+    assert resolved >= 20
+
+
+@pytest.mark.parametrize("size,q", [(8, 2), (9, 1), (7, 3), (6, -3)])
+def test_index_steps_only_through_refused_crossings(size, q):
+    # below the window the count steps from 0 towards the flux as kernel
+    # eigenvalues cross zero; bisecting a step must end on a mass whose
+    # spectrum is refused, not on a jump between two clean readings
+    gauge = build_torus_gauge(size, q)
+
+    def count(mass):
+        return overlap_index(build_wilson_dirac(gauge, mass=mass))
+
+    lo, hi = 0.01, 0.4
+    low = count(lo)
+    assert low == 0 and count(hi) != low
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            lo, hi = (mid, hi) if count(mid) == low else (lo, mid)
+        except AmbiguousSpectrumError:
+            break
+    else:
+        pytest.fail(f"the count stepped between {lo!r} and {hi!r} with no refused mass")
+
+
+def test_index_and_spectrum_are_gauge_invariant_over_seeded_fields():
+    # seeded loop: a random gauge transform moves every link, yet the
+    # symmetries are still solved (four blocks), and both counts and the
+    # heat spectrum of each chirality are unchanged
+    rng = np.random.default_rng(808)
+    for _ in range(12):
+        size, q = int(rng.integers(5, 11)), int(rng.integers(-3, 4))
+        mass = float(rng.uniform(0.5, 1.5))
+        gauge = build_torus_gauge(size, q)
+        base = heat_kernel_system(build_wilson_dirac(gauge, mass=mass))
+        twisted = random_gauge_transform(gauge, rng)
+        op = build_wilson_dirac(twisted, mass=mass)
+        assert len(op._kernel_eigh) == 4
+        heat = heat_kernel_system(op)
+        assert overlap_index(op) == zero_mode_asymmetry(heat) == topological_flux(twisted) == q
+        for chi in (1, -1):
+            moved = np.sort(heat.eigenvalues[heat.chiralities == chi])
+            assert np.max(np.abs(moved - np.sort(base.eigenvalues[base.chiralities == chi]))
+                          ) <= 1e-12, (size, q, mass)
 
 
 def test_noise_field_takes_one_complex_block():
@@ -436,7 +563,7 @@ def test_noise_field_block_is_not_gathered():
     assert peak < 3.3 * 16 * (2 * size * size) ** 2
 
 
-@pytest.mark.parametrize("size,twisted", [(5, True), (6, False), (8, True)])
+@pytest.mark.parametrize("size,twisted", [(5, True), (6, False), (8, True), (9, False)])
 def test_adapted_basis_is_orthonormal_and_real(size, twisted):
     gauge = build_torus_gauge(size, 2)
     if twisted:
@@ -444,21 +571,30 @@ def test_adapted_basis_is_orthonormal_and_real(size, twisted):
     op = build_wilson_dirac(gauge, mass=0.7)
     dim = 2 * size * size
     d = dense_wilson(op)
-    for sym in op.symmetries:
+    inversion = _lattice_symmetry(gauge.links, _INVERSION, False, GAMMA5.diagonal().real)
+    matrices = {}
+    for sym in op.symmetries + (inversion,):
         s = np.zeros((dim, dim), dtype=complex)
         s[sym.perm, np.arange(dim)] = sym.weight
         image = s @ (d.conj() if sym.antiunitary else d) @ s.conj().T
         assert np.max(np.abs(image - d)) <= 1e-13
+        matrices[sym.site_map] = s
+    # the turn is normalised so that its fourth power is 1 and its square the inversion
+    turn = matrices[_QUARTER_TURN]
+    assert np.max(np.abs(np.linalg.matrix_power(turn, 4) - np.eye(dim))) <= 1e-13
+    assert np.max(np.abs(turn @ turn - matrices[_INVERSION])) <= 1e-13
     h = dense_kernel(op)
-    columns = []
-    for rows, coefs in _symmetry_blocks(dim, op.symmetries):
-        assert rows.shape[1] <= 4
-        assert np.all(rows % 2 == rows[:, :1] % 2)  # one spinor component each
-        v = np.zeros((dim, len(rows)), dtype=complex)
-        np.add.at(v, (rows, np.arange(len(rows))[:, None]), coefs)
+    basis = _symmetry_basis(op.chirality, op.symmetries)
+    assert basis.col.shape[0] == 2  # each row lies in at most two columns of a block
+    columns = basis_matrices(basis)
+    for v, chi in zip(columns, basis.chirality):
+        assert np.all((np.abs(v) > 0).sum(axis=0) <= 8)
+        assert np.array_equal(chi, op.chirality[np.argmax(np.abs(v), axis=0)])
+        on = np.abs(v) > 0  # one spinor component each, the chirality's
+        assert np.all(op.chirality[:, None] * on == chi * on)
         assert np.max(np.abs((v.conj().T @ h @ v).imag)) <= 1e-13
-        columns.append(v)
-    assert [v.shape[1] for v in columns] == [size * size] * 2
+    dims = [v.shape[1] for v in columns]
+    assert len(dims) == 4 and max(dims) <= size * size // 2 + 1
     full = np.hstack(columns)
     assert np.max(np.abs(full.conj().T @ full - np.eye(dim))) <= 1e-14
 

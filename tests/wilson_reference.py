@@ -7,19 +7,34 @@ matrices that the blocked route is tested against.
 
 import numpy as np
 
-from diracindex.spectral import ZERO_TOL, _wilson_block
+from diracindex.spectral import ZERO_TOL, _kernel_blocks, _symmetry_basis
 
 
 def dense_wilson(op, mass=0.0):
-    """D - mass as a matrix: the block assembly on the identity basis."""
-    dim = len(op.chirality)
-    return _wilson_block(op.links, np.arange(dim)[:, None],
-                         np.ones((dim, 1), dtype=complex), mass)
+    """D - mass as a matrix: the kernel assembly on the identity basis.
+
+    That assembly gives Gamma (D - mass); Gamma is diagonal and squares to 1,
+    so flipping its rows once more leaves D - mass.
+    """
+    identity = _symmetry_basis(op.chirality, ())
+    [h] = _kernel_blocks(op.links, op.chirality, identity, mass)
+    return op.chirality[:, None] * h
 
 
 def dense_kernel(op):
     """The kernel Gamma (D - m); Gamma is diagonal, so it only flips rows."""
     return op.chirality[:, None] * dense_wilson(op, op.mass)
+
+
+def basis_matrices(basis):
+    """Each block's columns of the adapted basis as a dense (2 N^2, k) matrix."""
+    dim = basis.col.shape[-1]
+    out = []
+    for b, chi in enumerate(basis.chirality):
+        v = np.zeros((dim, len(chi)), dtype=complex)
+        np.add.at(v, (np.arange(dim), basis.col[:, b]), basis.coef[:, b])
+        out.append(v)
+    return out
 
 
 def overlap_operator(op):
