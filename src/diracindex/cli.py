@@ -11,6 +11,7 @@ rendering (timings stay out of JSON).
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -269,10 +270,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once a process: in-process callers run many commands, and
+    # parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return 0 if exc.code in (0, None) else 2

@@ -25,8 +25,12 @@ N^2); the x-reflection combined with complex conjugation maps each block
 to itself and makes it real symmetric.  Every constant-flux background has
 all three, so a case costs four real eigensolves of about N^2 / 2; a field
 with none keeps one complex block of size 2 N^2.  Each block is joined
-straight from the nonzeros of D - m, at most two basis columns a row, so no
-(2 N^2)-square or (2 N^2, k) array is formed.
+straight from the nonzeros of D - m, at most two basis columns a row, by its
+own bincount, so no (2 N^2)-square or (2 N^2, k) array is formed.  The
+blocks are streamed: each is assembled and diagonalised, the chirality
+blocks of its sign function are diagonalised, and then it and its
+eigenvectors are dropped before the next is formed.  A case holds one block
+at a time and keeps only eigenvalues.
 
 Numerical-ambiguity failures (a flux sum far from an integer, a sign
 function fed a near-zero eigenvalue, a collapsed zero/nonzero gap) raise
@@ -541,33 +545,46 @@ def _kernel_pattern(size):
                       np.concatenate(source, axis=1).ravel())
 
 
+def _join_block(rows, cols, values, col, coef, k, real):
+    # one block's entries: each nonzero H[r, t] = values adds conj V[r, i]
+    # H[r, t] V[t, j] at (i, j) for each slot of row r and of row t; axes of
+    # the sum: slot of row r, slot of row t, nonzero
+    flat = (k * col.take(rows, axis=-1)[:, None] + col.take(cols, axis=-1)[None]).ravel()
+    weights = (coef.take(rows, axis=-1)[:, None].conj()
+               * (values * coef.take(cols, axis=-1))[None]).ravel()
+    if real:
+        return np.bincount(flat, weights.real, minlength=k * k).reshape(k, k)
+    block = np.empty(k * k, dtype=complex)
+    block.real = np.bincount(flat, weights.real, minlength=k * k)
+    block.imag = np.bincount(flat, weights.imag, minlength=k * k)
+    return block.reshape(k, k)
+
+
 def _kernel_blocks(links, chirality, basis, mass):
-    """V^dagger Gamma (D - m) V on each block of the basis, joined on the rows of V.
+    """V^dagger Gamma (D - m) V on each block of the basis, one block at a time.
 
     Each nonzero H[r, t] of H = Gamma (D - m) (_kernel_pattern) adds conj
     V[r, i] H[r, t] V[t, j] to entry (i, j) of a block for every column i
-    holding row r and j holding row t there, at most two each; one bincount
-    sums every block at once, and no (2 N^2, k) array is formed.
+    holding row r and j holding row t there, at most two each.  Each block
+    is summed by its own bincount over its slice of the basis and is not
+    held here once handed out, so a caller that drops it before asking for
+    the next holds one block at a time; no (2 N^2, k) array is formed.
     """
     rows, cols, source = _kernel_pattern(links.shape[1])
     hops = np.concatenate([block.ravel() for pair in _hop_blocks(links) for block in pair]
                           + [[2.0 - mass]])
     values = chirality[rows] * hops[source]
-    sizes = np.array([len(chi) for chi in basis.chirality])
-    ends = np.cumsum(sizes * sizes)
-    # axes: slot of row r, slot of row t, block, nonzero
-    col_r, col_t = basis.col.take(rows, axis=-1), basis.col.take(cols, axis=-1)
-    flat = ((ends - sizes * sizes)[:, None] + sizes[:, None] * col_r[:, None]
-            + col_t[None]).ravel()
-    weights = (basis.coef.take(rows, axis=-1)[:, None].conj()
-               * (values * basis.coef.take(cols, axis=-1))[None]).ravel()
-    if basis.real:
-        entries = np.bincount(flat, weights.real, minlength=ends[-1])
-    else:
-        entries = np.empty(ends[-1], dtype=complex)
-        entries.real = np.bincount(flat, weights.real, minlength=ends[-1])
-        entries.imag = np.bincount(flat, weights.imag, minlength=ends[-1])
-    return [entries[end - k * k:end].reshape(k, k) for k, end in zip(sizes, ends)]
+    for b, chi in enumerate(basis.chirality):
+        yield _join_block(rows, cols, values, basis.col[:, b], basis.coef[:, b], len(chi),
+                          basis.real)
+
+
+class _BlockSpectrum(NamedTuple):
+    # one symmetry block: the eigenvalues of its block of the kernel H, and
+    # those of the + and - chirality blocks of sign(H) on it
+    kernel: np.ndarray
+    sign_plus: np.ndarray
+    sign_minus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -577,10 +594,13 @@ class WilsonDiracOperator:
     chirality is Gamma's diagonal on the 2 N^2 rows (site-major, spinor
     innermost), +1 on even and -1 on odd rows; the mass is the one the overlap
     construction subtracts.  symmetries holds those found in the field: the
-    quarter turn, or failing it the inversion, and the x-reflection.  The
-    kernel Gamma (D - m) is diagonalised once, on first use, per block of the
-    basis adapted to them (four real blocks of about N^2 / 2 on a
-    constant-flux field), and refused when it has no gap at zero.
+    quarter turn, or failing it the inversion, and the x-reflection.  On
+    first use the kernel Gamma (D - m) is taken one block of the basis
+    adapted to them at a time (four real blocks of about N^2 / 2 on a
+    constant-flux field): the block is assembled, diagonalised and dropped,
+    the chirality blocks of its sign function are diagonalised, and its
+    eigenvectors are dropped too.  Only the eigenvalues are kept, O(N^2)
+    numbers.  A kernel with no gap at zero is refused.
     """
 
     links: np.ndarray
@@ -594,30 +614,42 @@ class WilsonDiracOperator:
         return self.links.shape[1]
 
     @functools.cached_property
-    def _kernel_eigh(self):
-        # per block: eigenvalues, eigenvectors, the chirality of each column
+    def _block_spectra(self):
         basis = _symmetry_basis(self.chirality, self.symmetries)
-        out = [(*np.linalg.eigh(h), chi) for h, chi in zip(
-            _kernel_blocks(self.links, self.chirality, basis, self.mass), basis.chirality)]
-        low = min(float(np.min(np.abs(evals))) for evals, _, _ in out)
-        if low < ZERO_TOL:
-            raise AmbiguousSpectrumError(
-                f"kernel operator has a near-zero eigenvalue {low:.3e}; "
-                "the mass sits on a spectral-flow crossing")
-        return out
+        blocks = _kernel_blocks(self.links, self.chirality, basis, self.mass)
+        out = []
+        for chirality in basis.chirality:
+            # the block is freed as eigh returns, its vectors at the end of the pass
+            evals, vecs = np.linalg.eigh(next(blocks))
+            low = float(np.min(np.abs(evals)))
+            if low < ZERO_TOL:
+                raise AmbiguousSpectrumError(
+                    f"kernel operator has a near-zero eigenvalue {low:.3e}; "
+                    "the mass sits on a spectral-flow crossing")
+            sign = np.sign(evals)
+            signs = []
+            for chi in (1, -1):
+                v = vecs[chirality == chi]
+                signs.append(np.linalg.eigvalsh((v * sign) @ v.conj().T))
+            del vecs, v
+            out.append(_BlockSpectrum(evals, *signs))
+        return tuple(out)
 
 
 def torus_case_bytes(size):
-    """Peak bytes of a constant-flux torus case, 16 N^4 + 16384 N^2.
+    """Peak bytes a torus case adds to its process, 10 (N^2 + 2)^2 + 16384 N^2.
 
-    The four symmetry blocks, about N^2 / 2 square each, share one array of
-    8 N^4 bytes, and their eigenvectors take 8 N^4 more by the last eigh;
-    before that, the join holds a few arrays over the 4 x 4 slot pairs of
-    the 18 N^2 nonzeros of D - m, at most 16 kB a site.  tracemalloc reads
-    0.65 (N = 32) to 0.89 (N = 8) of this for N from 8 to 64.  LAPACK's own
-    workspace is not counted.
+    The blocks are taken one at a time, so the peak is the eigh of the
+    largest, at most k = N^2 / 2 + 1 square: the block, LAPACK's copy of it
+    and the eigenvectors (8 k^2 bytes each) and dsyevd's workspace of 2 k^2
+    doubles, 40 k^2 <= 10 (N^2 + 2)^2.  The join's temporaries over one
+    block's slot pairs of the 18 N^2 nonzeros of D - m, and the allocator's
+    slack, take up to 16 kB a site.  The model is read from the ru_maxrss
+    growth of a child process, which also sees LAPACK's own allocations: it
+    fits 10.0 N^4 + 7300 N^2 for N from 64 to 80, and reads 0.57 to 0.89 of
+    the model for N from 16 to 97.
     """
-    return 16 * size**4 + 16384 * size**2
+    return 10 * (size**2 + 2) ** 2 + 16384 * size**2
 
 
 def build_wilson_dirac(gauge, mass=1.0):
@@ -661,7 +693,7 @@ def overlap_index(op):
     Raises AmbiguousSpectrumError when the sign function is ill-defined (a
     near-zero eigenvalue) or the half-trace misses an integer by 0.01.
     """
-    raw = -0.5 * sum(float(np.sum(np.sign(evals))) for evals, _, _ in op._kernel_eigh)
+    raw = -0.5 * sum(float(np.sum(np.sign(block.kernel))) for block in op._block_spectra)
     nearest = round(raw)
     if abs(raw - nearest) >= INTEGER_RESIDUAL:
         raise AmbiguousSpectrumError(f"half-trace {raw:.6f} is not near an integer")
@@ -690,10 +722,8 @@ def heat_kernel_system(op):
     """
     top = 4.0 * op.mass * op.mass
     lams, chis = [], []
-    for evals, vecs, chirality in op._kernel_eigh:
-        for chi in (1, -1):
-            v = vecs[chirality == chi]
-            s = np.linalg.eigvalsh((v * np.sign(evals)) @ v.conj().T)
+    for block in op._block_spectra:
+        for chi, s in ((1, block.sign_plus), (-1, block.sign_minus)):
             lam = 0.5 * top * (1.0 + chi * s)
             lams.append(lam[np.abs(lam - top) > 1e-8 * top])
             chis.append(np.full(len(lams[-1]), chi))

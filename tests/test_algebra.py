@@ -21,6 +21,22 @@ from diracindex.algebra import (
 )
 
 
+def test_random_multivector_is_two_scalar_draws_a_term():
+    # the seeded elements verify-all samples: a choice of distinct masks up
+    # to the grade cap, then each coefficient's real and imaginary part in
+    # turn from the same generator
+    for dim, cap, n_terms in ((2, None, 6), (4, 2, 6), (6, None, 9), (8, 3, 12)):
+        ctx = AlgebraContext(dim)
+        got_rng, want_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        masks = [m for m in range(ctx.top_mask + 1) if m.bit_count() <= (cap or dim)]
+        for _ in range(20):
+            got = random_multivector(ctx, got_rng, max_grade=cap, n_terms=n_terms)
+            idx = want_rng.choice(len(masks), size=min(n_terms, len(masks)), replace=False)
+            want = {masks[k]: complex(want_rng.uniform(-1, 1), want_rng.uniform(-1, 1))
+                    for k in idx}
+            assert list(got.terms.items()) == list(want.items())
+
+
 def test_context_validation():
     for bad in (0, 1, 3, 7, 18, -2, 2.0):
         with pytest.raises((ValueError, TypeError)):

@@ -89,12 +89,42 @@ def test_index_torus_refuses_oversized_lattice(capsys, monkeypatch):
         raise AssertionError("the case ran")
 
     monkeypatch.setattr(cli, "run_torus_case", must_not_run)
-    code, out, err = run(capsys, "index-torus", "--N", "88", "--q", "1")
+    code, out, err = run(capsys, "index-torus", "--N", "98", "--q", "1")
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "--N 88" in err and "budget" in err
-    # the limit the README documents: N = 87 fits, N = 88 does not
-    assert torus_case_bytes(87) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(88)
+    assert err.count("\n") == 1 and "--N 98" in err and "budget" in err
+    # the limit the README documents: N = 97 fits, N = 98 does not
+    assert torus_case_bytes(97) <= cli.TORUS_MEMORY_BUDGET < torus_case_bytes(98)
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # main reuses one parser a process; the options of each call must be
+    # exactly those a fresh parser reads from its argv, none carried over
+    from diracindex import cli
+    from diracindex.report import DEFAULT_TAUS
+
+    fresh, parse = cli.build_parser, cli._Parser.parse_args
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    seen = []
+
+    def spy(self, args=None, namespace=None):
+        seen.append(parse(self, args, namespace))
+        return seen[-1]
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    calls = [["index-torus", "--N", "6", "--q", "1", "--m", "0.9", "--method", "heat",
+              "--tau", "1,2", "--format", "json", "--csv", str(tmp_path / "a.csv")],
+             ["index-torus", "--q", "-1"],
+             ["index-sphere", "--q", "1", "--kmax", "3", "--format", "json"],
+             ["index-sphere", "--q", "2"]]
+    for argv in calls:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert [vars(ns) for ns in seen] == [vars(parse(fresh(), argv)) for argv in calls]
+    assert (seen[1].N, seen[1].m, seen[1].method, seen[1].tau, seen[1].csv) == (
+        8, 1.0, "overlap", DEFAULT_TAUS, None)
+    assert (seen[3].kmax, seen[3].format) == (30, "text")
 
 
 def test_index_sphere_refuses_oversized_fixture(capsys, monkeypatch):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +169,24 @@ def test_sphere_tail_bound():
         sphere_monopole_fixture(0.5, 10)
     with pytest.raises(ValueError):
         sphere_tail_bound(1, 10, 0.0)
+
+
+def test_sphere_flux_is_the_character_integral(monkeypatch):
+    # the sphere's topological side is computed: a constant curvature q / 2
+    # integrates to q over the area 4 pi, a curvature that closes on no
+    # integer is refused, and a case whose flux disagrees with its zero
+    # modes fails
+    from diracindex import report
+
+    assert [report.sphere_flux(q / 2.0) for q in range(-4, 5)] == list(range(-4, 5))
+    for curvature in (0.25, -0.75, 1.2):
+        with pytest.raises(AmbiguousSpectrumError, match="sphere flux"):
+            report.sphere_flux(curvature)
+    case, _, _ = run_sphere_case(2, k_max=5)
+    assert case.passed and case.topological_index == 2
+    monkeypatch.setattr(report, "sphere_flux", lambda curvature: round(2 * curvature) + 1)
+    case, _, _ = run_sphere_case(2, k_max=5)
+    assert not case.passed and case.topological_index == 3
 
 
 # -- torus background --------------------------------------------------------
@@ -351,9 +373,10 @@ def test_one_kernel_eigh_per_torus_case(monkeypatch, method):
 
 def test_torus_case_memory_peak():
     # the operator is its links: a case never holds a (2N^2)-square matrix,
-    # only its four symmetry blocks; torus_case_bytes, which index-torus
-    # checks against its budget, bounds the peak and is not loose
-    for size in (16, 24):
+    # and of its four symmetry blocks only one at a time, with its
+    # eigenvectors (16 k^2 bytes), beside the join's per-block temporaries;
+    # a case that holds all four blocks at once exceeds this bound
+    for size in (24, 32):
         gauge = build_torus_gauge(size, 3)
         tracemalloc.start()
         try:
@@ -364,7 +387,46 @@ def test_torus_case_memory_peak():
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 16 * (2 * size * size) ** 2
-        assert 0.6 * torus_case_bytes(size) < peak <= torus_case_bytes(size)
+        assert peak <= 16 * (size * size // 2 + 1) ** 2 + 4096 * size**2
+        assert peak <= torus_case_bytes(size)
+
+
+_RSS_CHILD = """
+import sys
+from diracindex.spectral import (build_torus_gauge, build_wilson_dirac,
+                                 heat_kernel_system, overlap_index)
+
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+gauge = build_torus_gauge(int(sys.argv[1]), 3)
+before = peak_kib()
+op = build_wilson_dirac(gauge)
+overlap_index(op)
+heat_kernel_system(op)
+print(peak_kib() - before)
+"""
+
+
+def test_torus_case_resident_growth_is_within_the_model():
+    # torus_case_bytes, which index-torus checks against its budget, bounds
+    # what a case adds to the peak resident set of a fresh process, LAPACK's
+    # copy and workspace included (tracemalloc sees neither), and is not
+    # loose.  The child reads its own high-water mark, VmHWM: ru_maxrss
+    # would carry the forking test process's over from before exec
+    size = 40
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(size)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    growth = 1024 * int(done.stdout)
+    assert 0.5 * torus_case_bytes(size) < growth <= torus_case_bytes(size)
 
 
 def test_sphere_case_memory_peak():
@@ -380,6 +442,21 @@ def test_sphere_case_memory_peak():
 
 
 # -- symmetry-adapted kernel blocks ------------------------------------------
+
+def _block_eighs(monkeypatch, op):
+    # (size, dtype) of each block eigh the operator's first use makes
+    calls = []
+    original = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape[-1], a.dtype))
+        return original(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", spy)
+        op._block_spectra
+    return calls
+
 
 def _assert_matches_full_matrix(op):
     # the full-matrix route: one eigh of the dense 2N^2-square kernel
@@ -424,7 +501,7 @@ def test_symmetry_blocks_match_full_matrix(size, q, mass, twisted):
     op = build_wilson_dirac(gauge, mass=mass)
     assert [(sym.site_map, sym.antiunitary) for sym in op.symmetries] == [
         (_QUARTER_TURN, False), (_X_REFLECTION, True)]
-    dims = [len(evals) for evals, _, _ in op._kernel_eigh]
+    dims = [len(block.kernel) for block in op._block_spectra]
     assert len(dims) == 4 and sum(dims) == 2 * size * size
     assert max(dims) <= size * size // 2 + 1
     heat = _assert_matches_full_matrix(op)
@@ -433,7 +510,7 @@ def test_symmetry_blocks_match_full_matrix(size, q, mass, twisted):
 
 
 @pytest.mark.parametrize("size,twisted", [(6, False), (7, True), (8, True)])
-def test_partly_symmetric_fields_keep_the_blocks_they_have(size, twisted):
+def test_partly_symmetric_fields_keep_the_blocks_they_have(monkeypatch, size, twisted):
     # a bump in the y links keeps the inversion and the x-reflection (two
     # real blocks), one in the x links the x-reflection alone (one real
     # block); the index is the flux either way
@@ -446,8 +523,7 @@ def test_partly_symmetric_fields_keep_the_blocks_they_have(size, twisted):
         assert topological_flux(gauge) == 2
         op = build_wilson_dirac(gauge, mass=0.9)
         assert [sym.site_map for sym in op.symmetries] == maps
-        assert [len(evals) for evals, _, _ in op._kernel_eigh] == dims
-        assert all(not np.iscomplexobj(vecs) for _, vecs, _ in op._kernel_eigh)
+        assert _block_eighs(monkeypatch, op) == [(dim, np.float64) for dim in dims]
         heat = _assert_matches_full_matrix(op)
         assert overlap_index(op) == zero_mode_asymmetry(heat) == 2
 
@@ -466,7 +542,7 @@ def test_every_subset_of_symmetries_gives_the_same_spectrum(size):
                (reflection, turn)]
     for subset in subsets:
         blocked = replace(op, symmetries=subset)
-        evals = np.sort(np.concatenate([e for e, _, _ in blocked._kernel_eigh]))
+        evals = np.sort(np.concatenate([block.kernel for block in blocked._block_spectra]))
         assert np.max(np.abs(evals - full)) <= 1e-12
         assert overlap_index(blocked) == -2
 
@@ -526,7 +602,7 @@ def test_index_and_spectrum_are_gauge_invariant_over_seeded_fields():
         base = heat_kernel_system(build_wilson_dirac(gauge, mass=mass))
         twisted = random_gauge_transform(gauge, rng)
         op = build_wilson_dirac(twisted, mass=mass)
-        assert len(op._kernel_eigh) == 4
+        assert len(op._block_spectra) == 4
         heat = heat_kernel_system(op)
         assert overlap_index(op) == zero_mode_asymmetry(heat) == topological_flux(twisted) == q
         for chi in (1, -1):
@@ -535,14 +611,31 @@ def test_index_and_spectrum_are_gauge_invariant_over_seeded_fields():
                           ) <= 1e-12, (size, q, mass)
 
 
-def test_noise_field_takes_one_complex_block():
+def test_noise_field_takes_one_complex_block(monkeypatch):
     rng = np.random.default_rng(9)
     links = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6, 6)))
     op = build_wilson_dirac(LatticeGaugeField(links))
     assert op.symmetries == ()
-    [(evals, vecs, _)] = op._kernel_eigh
-    assert len(evals) == 72 and np.iscomplexobj(vecs)
+    assert _block_eighs(monkeypatch, op) == [(72, np.complex128)]
     _assert_matches_full_matrix(op)
+
+
+@pytest.mark.parametrize("size,q", [(8, 2), (7, -1)])
+def test_kernel_blocks_are_streamed(monkeypatch, size, q):
+    # each block and its eigenvectors are gone before the next block's eigh
+    held = []
+    original = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        assert all(ref() is None for ref in held)
+        out = original(a, *args, **kwargs)
+        held.extend([weakref.ref(a), weakref.ref(out.eigenvectors)])
+        return out
+
+    op = build_wilson_dirac(build_torus_gauge(size, q))
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    assert overlap_index(op) == q
+    assert len(held) == 8 and all(ref() is None for ref in held)
 
 
 def test_noise_field_block_is_not_gathered():
