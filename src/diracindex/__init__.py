@@ -32,16 +32,12 @@ from .charclasses import (
     a_series_coefficients,
     block_diagonal_riemann,
     chern_character,
-    format_partition,
     index_density,
     partition_sum,
     qho_generating_function,
     series_exp,
-    series_log,
     series_mul,
-    series_sqrt_inverse,
     splitting_oracle,
-    twist_direct_sum,
     zero_riemann,
 )
 from .formdsl import (

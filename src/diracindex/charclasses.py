@@ -14,7 +14,8 @@ Conventions, fixed once:
   antisymmetric, the twist kind stores the Hermitian combination i*Omega,
   so for a U(1) field strength F the stored entry is F itself,
 * 2*pi enters exactly once per class, as the literal scale on the curvature,
-* a series cap is a maximum retained form degree, default the full dimension.
+* a series cap is a maximum retained form degree; none, or any cap at or
+  above the dimension, keeps the full series.
 """
 
 import cmath
@@ -131,21 +132,6 @@ def splitting_oracle(n, cap):
     return {key: c for key, c in table.items() if c}
 
 
-def format_partition(key):
-    """Human name of an oracle key: () -> '1', (1, 1, 2) -> 'p1^2*p2'."""
-    if not key:
-        return "1"
-    parts = []
-    j = 0
-    while j < len(key):
-        run = 1
-        while j + run < len(key) and key[j + run] == key[j]:
-            run += 1
-        parts.append(f"p{key[j]}" + (f"^{run}" if run > 1 else ""))
-        j += run
-    return "*".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # form series
 
@@ -167,10 +153,6 @@ class FormSeries:
     @classmethod
     def one(cls, ctx):
         return cls(ctx.scalar(1.0))
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx.scalar(0.0))
 
     @property
     def context(self):
@@ -214,6 +196,10 @@ class FormSeries:
         return f"FormSeries({self.value!r})"
 
 
+def _cap(ctx, cap):
+    return ctx.dim if cap is None else min(int(cap), ctx.dim)
+
+
 def _truncate(mv, cap):
     kept = {m: c for m, c in mv.terms.items() if m.bit_count() <= cap}
     return MultiVector._trusted(mv.context, kept, mv.flavor)
@@ -221,7 +207,7 @@ def _truncate(mv, cap):
 
 def series_mul(a, b, cap=None):
     """Wedge product of two series, truncated to the cap."""
-    cap = a.context.dim if cap is None else cap
+    cap = _cap(a.context, cap)
     return FormSeries(_truncate(wedge(a.value, b.value), cap))
 
 
@@ -232,7 +218,7 @@ def series_exp(a, cap=None):
     is nilpotent, so its sum terminates on its own at grade cap.
     """
     ctx = a.context
-    cap = ctx.dim if cap is None else cap
+    cap = _cap(ctx, cap)
     s = a.scalar_part()
     nil = _truncate(MultiVector(ctx, {m: c for m, c in a.value.terms.items() if m}, EXTERIOR),
                     cap)
@@ -246,49 +232,6 @@ def series_exp(a, cap=None):
     if s != 0:
         out = out * cmath.exp(s)
     return FormSeries(_truncate(out, cap))
-
-
-def _positive_scalar_part(a, what):
-    s = a.scalar_part()
-    if abs(s.imag) > 1e-12 * max(1.0, abs(s)) or s.real <= 0:
-        raise ValueError(f"{what} needs a positive real grade-0 part, got {s}")
-    return s.real
-
-
-def series_log(a, cap=None):
-    """Logarithm of a series with positive real grade-0 part."""
-    ctx = a.context
-    cap = ctx.dim if cap is None else cap
-    s = _positive_scalar_part(a, "series_log")
-    u = _truncate(MultiVector(ctx, {m: c / s for m, c in a.value.terms.items() if m},
-                              EXTERIOR), cap)
-    out = ctx.scalar(math.log(s))
-    power = ctx.scalar(1.0)
-    for k in range(1, cap // 2 + 1):
-        power = _truncate(wedge(power, u), cap)
-        if power.is_zero():
-            break
-        out = out + power * ((-1) ** (k + 1) / k)
-    return FormSeries(_truncate(out, cap))
-
-
-def series_sqrt_inverse(a, cap=None):
-    """Inverse square root of a series with positive real grade-0 part."""
-    ctx = a.context
-    cap = ctx.dim if cap is None else cap
-    s = _positive_scalar_part(a, "series_sqrt_inverse")
-    u = _truncate(MultiVector(ctx, {m: c / s for m, c in a.value.terms.items() if m},
-                              EXTERIOR), cap)
-    out = ctx.scalar(1.0)
-    power = ctx.scalar(1.0)
-    coeff = Fraction(1)
-    for k in range(1, cap // 2 + 1):
-        power = _truncate(wedge(power, u), cap)
-        if power.is_zero():
-            break
-        coeff = coeff * Fraction(-(2 * k - 1), 2 * k)  # binomial(-1/2, k) buildup
-        out = out + power * float(coeff)
-    return FormSeries(_truncate(out * s**-0.5, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +325,6 @@ def block_diagonal_riemann(ctx, two_forms):
     return FormMatrix(entries, RIEMANN)
 
 
-def twist_direct_sum(a, b):
-    """Block-diagonal join of two twist curvatures (a reducible bundle)."""
-    if a.kind != TWIST or b.kind != TWIST:
-        raise TypeError("twist_direct_sum joins twist matrices")
-    if a.context != b.context:
-        raise ValueError("mixed algebra contexts")
-    z = a.context.scalar(0.0)
-    size = a.size + b.size
-    entries = [[z] * size for _ in range(size)]
-    for i in range(a.size):
-        for j in range(a.size):
-            entries[i][j] = a.entry(i, j)
-    for i in range(b.size):
-        for j in range(b.size):
-            entries[a.size + i][a.size + j] = b.entry(i, j)
-    return FormMatrix(entries, TWIST)
-
-
 def _mat_scale(rows, factor):
     return [[e * factor for e in row] for row in rows]
 
@@ -457,7 +382,7 @@ def a_hat(curvature, cap=None):
     """
     _require_kind(curvature, RIEMANN, "a_hat")
     ctx = curvature.context
-    cap = ctx.dim if cap is None else int(cap)
+    cap = _cap(ctx, cap)
     exponent = ctx.scalar(0.0)
     kmax = cap // 4  # s_k carries form degree 4k
     if kmax >= 1:
@@ -478,13 +403,13 @@ def a_hat(curvature, cap=None):
 def chern_character(twist, cap=None):
     """Exponential character sum_k tr[(F / 2 pi)**k] / k! of a twist.
 
-    The grade-0 part is the rank; the whole series is additive across
-    ``twist_direct_sum`` blocks.  Coefficients come out real for valid
+    The grade-0 part is the rank; the whole series is additive across the
+    blocks of a block-diagonal twist.  Coefficients come out real for valid
     (conjugate-transpose symmetric) inputs.
     """
     _require_kind(twist, TWIST, "chern_character")
     ctx = twist.context
-    cap = ctx.dim if cap is None else int(cap)
+    cap = _cap(ctx, cap)
     out = ctx.scalar(float(twist.size))
     y = _mat_scale(twist.entries, 1.0 / TWO_PI)
     power = None
@@ -505,7 +430,7 @@ def index_density(tangent, twist, cap=None):
     if tangent is None and twist is None:
         raise ValueError("need at least one curvature matrix")
     ctx = (tangent if tangent is not None else twist).context
-    cap = ctx.dim if cap is None else int(cap)
+    cap = _cap(ctx, cap)
     genus = a_hat(tangent, cap) if tangent is not None else FormSeries.one(ctx)
     char = chern_character(twist, cap) if twist is not None else FormSeries.one(ctx)
     product = series_mul(genus, char, cap)

@@ -246,10 +246,6 @@ def _combine(ast, left, right):
     raise DslError("'*' multiplies by scalars; combine forms with '^'", *ast[-1])
 
 
-# module-scope alias; shadows the builtin only inside importers who ask for it
-eval = eval_expr
-
-
 # -- printers ------------------------------------------------------------------
 
 def _coeff_pieces(c):

@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import time
+from itertools import combinations
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .algebra import (CLIFFORD, EXTERIOR, AlgebraContext, MultiVector,
 from .charclasses import (TWIST, TWO_PI, FormMatrix, a_closed_form, a_hat,
                           block_diagonal_riemann, chern_character,
                           partition_sum, qho_generating_function,
-                          zero_riemann)
+                          splitting_oracle, zero_riemann)
 from .spectral import (INTEGER_RESIDUAL, AmbiguousSpectrumError, build_torus_gauge,
                        build_wilson_dirac, heat_kernel_system, overlap_index,
                        pair_check, random_gauge_transform,
@@ -297,10 +298,13 @@ def stage_characteristic():
     blocks = [random_two_form(ctx, rng) for _ in range(3)] + [ctx.scalar(0.0)]
     genus = a_hat(block_diagonal_riemann(ctx, blocks))
     sq = [wedge(b * (1.0 / TWO_PI), b * (1.0 / TWO_PI)) for b in blocks[:3]]
-    p1 = sq[0] + sq[1] + sq[2]
-    p2 = wedge(sq[0], sq[1]) + wedge(sq[0], sq[2]) + wedge(sq[1], sq[2])
-    want = (ctx.scalar(1.0) - p1 * (1.0 / 24.0)
-            + (wedge(p1, p1) * 7.0 - p2 * 4.0) * (1.0 / 5760.0))
+    # p_j is the j-th elementary symmetric polynomial of the squared blocks;
+    # it is a 4j-form and carries y-degree 2j in the oracle's table
+    zero = ctx.scalar(0.0)
+    p = {j: sum((functools.reduce(wedge, c) for c in combinations(sq, j)), zero)
+         for j in (1, 2)}
+    want = sum((functools.reduce(wedge, (p[j] for j in key), ctx.scalar(1.0)) * float(c)
+                for key, c in splitting_oracle(3, ctx.dim // 2).items()), zero)
     oracle_dev = (genus.value - want).max_norm()
 
     flat = a_hat(zero_riemann(AlgebraContext(4)))

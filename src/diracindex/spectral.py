@@ -81,22 +81,18 @@ class SpectralSystem:
     """Chirality-graded nonnegative spectrum, as two arrays of one length.
 
     Mode k has eigenvalue eigenvalues[k] and chirality chiralities[k], +-1.
-    Both arrays are read-only copies, in the order given.  The convention
-    flag records what the eigenvalues mean: "H" for halved-Laplacian
-    energies (heat weight e^(-tau lambda)) and "Delta" for squared-operator
-    values (weight e^(-tau lambda/2)).  Eigenvalues must be finite and
-    nonnegative; anything above -1e-8 is clamped to zero, anything below is
-    a positivity violation and is rejected.
+    Both arrays are read-only copies, in the order given.  Eigenvalues are
+    squared-operator values, so the heat weight is e^(-tau lambda/2).
+    Eigenvalues must be finite and nonnegative; anything above -1e-8 is
+    clamped to zero, anything below is a positivity violation and is
+    rejected.
     """
 
     eigenvalues: np.ndarray
     chiralities: np.ndarray
     source: str = "generic"
-    convention: str = "H"
 
     def __post_init__(self):
-        if self.convention not in ("H", "Delta"):
-            raise ValueError(f"unknown convention {self.convention!r}")
         lam = np.array(self.eigenvalues, dtype=float)
         chi = np.array(self.chiralities, dtype=float)
         if lam.ndim != 1 or lam.shape != chi.shape:
@@ -114,10 +110,6 @@ class SpectralSystem:
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
-    @property
-    def heat_rate(self):
-        return 1.0 if self.convention == "H" else 0.5
-
 
 class PairViolation(NamedTuple):
     lam_min: float
@@ -127,10 +119,10 @@ class PairViolation(NamedTuple):
 
 
 def witten_index(system, tau):
-    """Chirality-weighted heat sum over the spectrum at inverse temperature tau."""
+    """Chirality-weighted heat sum of e^(-tau lambda/2) at inverse temperature tau."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    weights = np.exp(-tau * system.heat_rate * system.eigenvalues)
+    weights = np.exp(-tau * 0.5 * system.eigenvalues)
     return float(np.sum(system.chiralities * weights))
 
 
@@ -183,7 +175,6 @@ def sphere_monopole_fixture(q, k_max):
     lambda = k (k + |q|) with multiplicity 2k + |q| in each chirality sector,
     so every nonzero level is exactly balanced.  At q = 0 this reduces to the
     round-sphere spectrum (multiplicity 2k per sector, no zero modes).
-    Eigenvalues are squared-operator values, convention "Delta".
     """
     if not isinstance(q, int):
         raise ValueError("q must be an integer")
@@ -195,7 +186,7 @@ def sphere_monopole_fixture(q, k_max):
     eigenvalues = np.concatenate([np.zeros(abs(q)), np.repeat(k * (k + abs(q)), mult)])
     chiralities = np.concatenate([np.full(abs(q), 1 if q > 0 else -1),
                                   np.repeat(np.tile([1, -1], k_max), mult)])
-    return SpectralSystem(eigenvalues, chiralities, source="sphere", convention="Delta")
+    return SpectralSystem(eigenvalues, chiralities, source="sphere")
 
 
 def sphere_case_bytes(q, k_max):
@@ -717,8 +708,7 @@ def heat_kernel_system(op):
     The branch at exactly 4 m^2, the far end of the overlap circle (S_++ =
     +1 or S_-- = -1), is a pure lattice artifact (it hosts the chirality
     asymmetry that compensates the zero modes on the finite lattice) and is
-    excluded from the returned continuum-like spectrum.  Eigenvalues are
-    squared-operator values, convention "Delta".
+    excluded from the returned continuum-like spectrum.
     """
     top = 4.0 * op.mass * op.mass
     lams, chis = [], []
@@ -730,4 +720,4 @@ def heat_kernel_system(op):
     lam, chi = np.concatenate(lams), np.concatenate(chis)
     lam[np.abs(lam) <= ZERO_TOL] = 0.0
     order = np.lexsort((chi, lam))
-    return SpectralSystem(lam[order], chi[order], source=op.label, convention="Delta")
+    return SpectralSystem(lam[order], chi[order], source=op.label)

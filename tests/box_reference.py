@@ -4,7 +4,7 @@ The package truncates the two oscillator modes in circular modes and keeps
 only the L = 0 block.  This route truncates each Cartesian mode to
 m < cutoff instead.  The box breaks the rotation symmetry, so it converges
 only like cutoff**-2 (2.9e-4 to 4.6e-4 at cutoff 60 for y in [0.5, 2]) and
-needs a dense eigensolve of size cutoff**2 / 2; it is the independent
+needs a dense eigensolve of size about cutoff**2 / 4; it is the independent
 reference the circular route is tested against.
 """
 
@@ -67,34 +67,40 @@ def _matrix_element_reference(y, cutoff, swap_modes=False):
 def _matrix_element_fast(y, cutoff, swap_modes):
     # Rotating mode 2 by diag(i^m) turns p2 into a real symmetric matrix and
     # q2 into -i times a real antisymmetric one, so the exponent splits as
-    # g = -(s^2 - k^2)/2 with s symmetric and k antisymmetric, both real.
+    # g = -(s^2 - k^2)/2 with s symmetric and k antisymmetric, both real, and
+    # each of s, k a sum of two tensor products (mode 1 (x) mode 2).
     # Total parity is conserved and the origin profile is even, so only the
-    # even-parity block is ever needed; s and k hop between the parities,
-    # which gives the half-size products below.
+    # even-parity block is needed.  On it the quarter turn, which in this
+    # frame is R|m1, m2> = (-1)^((m2 - m1)/2 + m2) |m2, m1>, squares to one
+    # and commutes with g, and the origin vector is R-invariant: only the
+    # +1 half of R is needed.  Its basis is |m, m> for even m and
+    # (|m1, m2> + R|m1, m2>)/sqrt(2) for m1 < m2 of equal parity.
     q, b = _ladder_blocks(cutoff)
     kq = -b  # rotated q2 is -i kq: upper diagonal +v, lower -v
     eye = np.eye(cutoff)
-    if swap_modes:
-        s = np.kron(eye, _rotated_p(cutoff)) + 0.5 * y * np.kron(q, eye)
-        k = np.kron(b, eye) + 0.5 * y * np.kron(eye, kq)
-    else:
-        s = np.kron(eye, _rotated_p(cutoff)) - 0.5 * y * np.kron(q, eye)
-        k = np.kron(b, eye) - 0.5 * y * np.kron(eye, kq)
-    modes = np.arange(cutoff)
-    parity = (modes[:, None] + modes[None, :]).ravel() % 2
-    even = parity == 0
-    odd = ~even
-    s_eo = s[even][:, odd]
-    s_oe = s[odd][:, even]
-    k_eo = k[even][:, odd]
-    k_oe = k[odd][:, even]
-    del s, k
-    g = -0.5 * (s_eo @ s_oe - k_eo @ k_oe)
-    g = 0.5 * (g + g.T)
+    half = (0.5 if swap_modes else -0.5) * y
+    s = [(1.0, eye, _rotated_p(cutoff)), (half, q, eye)]
+    k = [(1.0, b, eye), (half, eye, kq)]
+    g = ([(-0.5 * c * d, a1 @ b1, a2 @ b2) for c, a1, a2 in s for d, b1, b2 in s]
+         + [(0.5 * c * d, a1 @ b1, a2 @ b2) for c, a1, a2 in k for d, b1, b2 in k])
+
+    def g_entries(rows1, rows2, cols1, cols2):
+        return sum(c * a1[np.ix_(rows1, cols1)] * a2[np.ix_(rows2, cols2)]
+                   for c, a1, a2 in g)
+
+    m1, m2 = np.triu_indices(cutoff)
+    keep = ((m1 + m2) % 2 == 0) & ((m1 < m2) | (m1 % 2 == 0))
+    m1, m2 = m1[keep], m2[keep]
+    sigma = np.where(((m2 - m1) // 2 + m2) % 2 == 0, 1.0, -1.0)
+    scale = np.where(m1 == m2, 0.5, math.sqrt(0.5))  # 1 / |(1 + R) u|
+    # <a|g|b> = 2 scale_a scale_b (g[u_a, u_b] + sigma_a g[R u_a, u_b]), as R g = g R
+    g_plus = 2.0 * np.outer(scale, scale) * (g_entries(m1, m2, m1, m2)
+                                             + sigma[:, None] * g_entries(m2, m1, m1, m2))
+    g_plus = 0.5 * (g_plus + g_plus.T)
     w = _origin_profile(cutoff)
-    w2 = w * np.where(modes % 4 == 2, -1.0, 1.0)  # (-1)^(m/2) from the rotation
-    vec = np.kron(w, w2)[even]
-    evals, vecs = np.linalg.eigh(g)
+    w2 = w * np.where(np.arange(cutoff) % 4 == 2, -1.0, 1.0)  # (-1)^(m/2) from the rotation
+    vec = scale * (w[m1] * w2[m2] + sigma * w[m2] * w2[m1])
+    evals, vecs = np.linalg.eigh(g_plus)
     proj = vecs.T @ vec
     return float(TWO_PI * np.sum(np.exp(evals) * proj * proj))
 

@@ -18,15 +18,10 @@ from diracindex.charclasses import (
     a_series_coefficients,
     block_diagonal_riemann,
     chern_character,
-    format_partition,
     index_density,
     partition_sum,
     series_exp,
-    series_log,
-    series_mul,
-    series_sqrt_inverse,
     splitting_oracle,
-    twist_direct_sum,
     zero_riemann,
 )
 
@@ -117,14 +112,6 @@ def test_splitting_oracle_matches_direct_product_exactly():
     assert expanded == direct
 
 
-def test_format_partition():
-    assert format_partition(()) == "1"
-    assert format_partition((1,)) == "p1"
-    assert format_partition((1, 1)) == "p1^2"
-    assert format_partition((1, 1, 2)) == "p1^2*p2"
-    assert format_partition((2, 3)) == "p2*p3"
-
-
 # -- series layer ------------------------------------------------------------
 
 def test_form_series_validation():
@@ -146,37 +133,6 @@ def test_series_exp_against_hand_expansion():
     assert (full.value - want).max_norm() < 1e-15
     capped = series_exp(a, 2)
     assert capped.value.terms.get(0b1111) is None
-
-
-def test_series_log_exp_roundtrip():
-    rng = np.random.default_rng(31)
-    ctx = AlgebraContext(6)
-    for _ in range(5):
-        even = ctx.scalar(rng.uniform(0.5, 2.0))
-        for masks in range(4):
-            i, j = sorted(rng.choice(np.arange(1, 7), size=2, replace=False))
-            even = even + rng.uniform(-0.5, 0.5) * ctx.blade([int(i), int(j)])
-        s = FormSeries(even)
-        back = series_exp(series_log(s))
-        assert (back.value - s.value).max_norm() < 1e-12
-
-
-def test_series_log_needs_positive_scalar():
-    ctx = AlgebraContext(4)
-    with pytest.raises(ValueError):
-        series_log(FormSeries(ctx.scalar(0.0) + ctx.blade([1, 2])))
-    with pytest.raises(ValueError):
-        series_log(FormSeries(ctx.scalar(-1.0)))
-    with pytest.raises(ValueError):
-        series_sqrt_inverse(FormSeries(ctx.scalar(-2.0)))
-
-
-def test_series_sqrt_inverse_property():
-    ctx = AlgebraContext(6)
-    s = FormSeries(ctx.scalar(3.0) + 0.4 * ctx.blade([1, 2]) + 0.7 * ctx.blade([2, 5]))
-    r = series_sqrt_inverse(s)
-    prod = series_mul(series_mul(r, r), s)
-    assert (prod.value - ctx.scalar(1.0)).max_norm() < 1e-13
 
 
 # -- curvature matrices ------------------------------------------------------
@@ -291,7 +247,11 @@ def test_chern_character_additive_on_direct_sums():
     off = 0.4 - 0.9j
     F2 = FormMatrix([[0.5 * ctx.blade([3, 4]), off * ctx.blade([1, 3])],
                      [off.conjugate() * ctx.blade([1, 3]), -0.8 * ctx.blade([1, 4])]], TWIST)
-    lhs = chern_character(twist_direct_sum(F1, F2))
+    z = ctx.scalar(0.0)
+    joined = FormMatrix([[F1.entry(0, 0), z, z],
+                         [z, F2.entry(0, 0), F2.entry(0, 1)],
+                         [z, F2.entry(1, 0), F2.entry(1, 1)]], TWIST)
+    lhs = chern_character(joined)
     rhs = chern_character(F1) + chern_character(F2)
     assert (lhs.value - rhs.value).max_norm() < 1e-15
 

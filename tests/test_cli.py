@@ -232,6 +232,16 @@ def test_characteristic_two_block_genus(capsys):
     assert doc["series"].startswith("1.0")
 
 
+@pytest.mark.parametrize("name,which", [("two_blocks", "ahat"), ("two_blocks", "density"),
+                                        ("torus_flux", "chern")])
+def test_characteristic_order_above_dimension_gives_full_series(capsys, name, which):
+    argv = ("characteristic", "--file", str(DEMO_DIR / f"{name}.json"), "--which", which)
+    full = run(capsys, *argv)
+    assert full[0] == 0
+    for order in ("4", "52", "1000"):
+        assert run(capsys, *argv, "--order", order) == full
+
+
 def test_characteristic_file_errors_exit_4(capsys, tmp_path):
     code, _, err = run(capsys, "characteristic", "--file",
                        str(tmp_path / "absent.json"))

@@ -139,11 +139,6 @@ def test_eval_coefficients():
     assert mv.terms == {0b0101: complex(-1.5, 2.0)}
 
 
-def test_eval_module_alias():
-    from diracindex import formdsl
-    assert formdsl.eval is eval_expr
-
-
 def test_eval_star_needs_scalar_operand():
     ctx = AlgebraContext(4)
     with pytest.raises(DslError) as info:
@@ -236,6 +231,75 @@ def test_format_ast_print_parse_identity():
         ast = random_ast(rng, dim=4, depth=int(rng.integers(1, 5)))
         text = format_ast(ast)
         assert strip(parse(tokenize(text))) == strip(ast)
+
+
+class RandomText:
+    """Seeded expression text from the grammar, one method per precedence level.
+
+    A level asked for a scalar only yields scalar-valued text, so every '*'
+    has a scalar operand and the text always evaluates.  Spacing and number
+    spellings vary; a unary minus opens only a term of a sum, as the grammar
+    allows.
+    """
+
+    def __init__(self, rng, dim):
+        self.rng, self.dim = rng, dim
+
+    def pick(self, n):
+        return int(self.rng.integers(0, n))
+
+    def space(self):
+        return " " * self.pick(3)
+
+    def join(self, op, parts):
+        return f"{self.space()}{op}{self.space()}".join(parts)
+
+    def number(self):
+        whole, frac = str(self.pick(10)), str(self.pick(100))
+        body = (whole, f"{whole}.", f".{frac}", f"{whole}.{frac}")[self.pick(4)]
+        if self.pick(4) == 0:
+            body += f"{'eE'[self.pick(2)]}{('', '+', '-')[self.pick(3)]}{self.pick(3)}"
+        return body
+
+    def sum(self, depth, scalar):
+        terms = [self.unary(depth, scalar) for _ in range(1 + self.pick(3))]
+        text = terms[0]
+        for term in terms[1:]:
+            text = self.join("+-"[self.pick(2)], [text, term])
+        return text
+
+    def unary(self, depth, scalar):
+        if self.pick(5) == 0:
+            return "-" + self.space() + self.unary(depth, scalar)
+        return self.product(depth, scalar)
+
+    def product(self, depth, scalar):
+        count = 1 + self.pick(2)
+        form_at = -1 if scalar else self.pick(count)
+        return self.join("*", [self.wedge(depth, k != form_at) for k in range(count)])
+
+    def wedge(self, depth, scalar):
+        return self.join("^", [self.atom(depth, scalar) for _ in range(1 + self.pick(3))])
+
+    def atom(self, depth, scalar):
+        if depth > 0 and self.pick(3) == 0:
+            return f"({self.space()}{self.sum(depth - 1, scalar)}{self.space()})"
+        if not scalar and self.pick(2) == 0:
+            return f"e{1 + self.pick(self.dim)}"
+        return "i" if self.pick(3) == 0 else self.number()
+
+
+def test_random_text_print_parse_round_trip():
+    rng = np.random.default_rng(20261018)
+    for dim in (2, 4, 6):
+        ctx = AlgebraContext(dim)
+        gen = RandomText(rng, dim)
+        for _ in range(100):
+            text = gen.sum(int(rng.integers(0, 3)), scalar=False)
+            ast = parse(tokenize(text, dim))
+            again = parse(tokenize(format_ast(ast)))
+            assert strip(again) == strip(ast), text
+            assert eval_expr(again, ctx) == eval_expr(ast, ctx), text
 
 
 def test_format_ast_long_sum_renders_in_a_loop():

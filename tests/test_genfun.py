@@ -14,7 +14,7 @@ from diracindex.charclasses import (
 @lru_cache(maxsize=None)
 def box_value(y, cutoff):
     # Cartesian-box reference route; cached because cutoff 60 is a dense
-    # eigensolve of size 1800 and two tests need the same grid
+    # eigensolve of size 900 and two tests need the same grid
     return _matrix_element_fast(y, cutoff, False)
 
 

@@ -49,12 +49,8 @@ def test_spectral_system_validation():
         SpectralSystem([1.0], [2])
     with pytest.raises(ValueError):
         SpectralSystem([-1e-7], [1])
-    with pytest.raises(ValueError):
-        SpectralSystem([1.0], [1], convention="energy")
     clamped = SpectralSystem([-1e-9], [1])
     assert clamped.eigenvalues.tolist() == [0.0] and clamped.chiralities.tolist() == [1]
-    s = SpectralSystem([0.0, 2.0], [1, -1], convention="Delta")
-    assert s.heat_rate == 0.5
     assert SpectralSystem([], []).eigenvalues.size == 0
 
 
@@ -86,10 +82,7 @@ def test_witten_index_basics():
         assert witten_index(lone, tau) == 1.0
     paired = SpectralSystem([0.7, 0.7], [1, -1])
     assert witten_index(paired, 2.0) == 0.0
-    h = SpectralSystem([1.0], [1], convention="H")
-    d = SpectralSystem([1.0], [1], convention="Delta")
-    assert abs(witten_index(h, 1.0) - math.exp(-1.0)) < 1e-15
-    assert abs(witten_index(d, 1.0) - math.exp(-0.5)) < 1e-15
+    assert abs(witten_index(SpectralSystem([1.0], [1]), 1.0) - math.exp(-0.5)) < 1e-15
     with pytest.raises(ValueError):
         witten_index(lone, 0.0)
     with pytest.raises(ValueError):
@@ -140,7 +133,7 @@ def test_sphere_fixture_structure():
     assert neg.chiralities[neg.eigenvalues == 0.0].tolist() == [-1, -1, -1]
     free = sphere_monopole_fixture(0, 4)
     assert np.all(free.eigenvalues > 0)
-    assert s.convention == "Delta" and s.source == "sphere"
+    assert s.source == "sphere"
 
 
 def test_sphere_fixture_witten_is_exact():
@@ -291,7 +284,6 @@ def test_heat_kernel_system_structure():
     op = build_wilson_dirac(g)
     sys_ = heat_kernel_system(op)
     lam = sys_.eigenvalues
-    assert sys_.convention == "Delta"
     assert sys_.source == "torus N=8 q=2"
     assert np.all(lam >= 0.0)
     top = 4.0 * op.mass**2
