@@ -25,6 +25,15 @@ bitwise_count(x & y), one -1 per contracted generator.  Each result
 coefficient is summed in pair order (row-major over the two term dicts), so
 the two paths agree bit for bit, key order included.
 
+A wedge of two operands that each have a single grade skips both paths when
+the grades reach ``dim``.  Past ``dim`` every pair overlaps and the product is
+zero.  At exactly ``dim`` the only disjoint partner of a left term x is its
+complement ``top ^ x``, so each left term is paired with the right operand's
+complement term, if it has one, and the top-form coefficient is summed in
+left-term order: the pairs, sum and key of the pair order, without testing
+the overlapping pairs.  Every other product, Clifford products included,
+takes one of the two paths above.
+
 Operator sugar: ``^`` is wedge, ``*`` is scalar scaling or (between two
 clifford elements) the Clifford product.  Python gives ``^`` very low
 precedence, parenthesize wedge expressions.
@@ -52,6 +61,9 @@ _PAIR_CHUNK = 16384
 # products of at most this many term pairs skip the kernel: below it the
 # kernel's fixed cost of numpy calls outweighs a Python loop over the pairs
 _LOOP_PAIRS = 192
+
+# the generators at odd bit positions: e2, e4, ..., e16
+_ODD_BITS = 0xAAAA
 
 
 def _below(y):
@@ -125,6 +137,41 @@ def _pair_loop(a, b, clifford):
     return out
 
 
+def _single_grade(terms):
+    # the grade all masks of a nonempty term dict share, or None
+    grades = set(map(int.bit_count, terms))
+    return grades.pop() if len(grades) == 1 else None
+
+
+def _top_wedge(a, b):
+    # the terms of a ^ b when both operands have a single grade and the grades
+    # reach dim, else None; the top-form sum is the pair loop's, in row order
+    dim = a.context.dim
+    if next(iter(a.terms)).bit_count() + next(iter(b.terms)).bit_count() < dim:
+        return None
+    ga, gb = _single_grade(a.terms), _single_grade(b.terms)
+    if ga is None or gb is None:
+        return None
+    if ga + gb > dim:
+        return {}
+    top = a.context.top_mask
+    get = b.terms.get
+    # the pair (x, top ^ x) swaps each generator k of x past the complement's
+    # generators under k, of which there are k less x's generators under k;
+    # summed over x that is x's bit positions, of parity
+    # popcount(x & _ODD_BITS), less ga (ga - 1) / 2
+    flip = ga * (ga - 1) // 2
+    acc = 0j
+    for x, cx in a.terms.items():
+        cy = get(top ^ x)
+        if cy is not None:
+            c = cx * cy
+            acc = acc + (-c if ((x & _ODD_BITS).bit_count() + flip) & 1 else c)
+    # the pair paths' relative prune, on one term: no pair, or pairs that
+    # cancel exactly, leave a zero that it drops
+    return {top: acc} if abs(acc) > PRUNE_RELATIVE * abs(acc) else {}
+
+
 def _product(a, b, clifford):
     """Wedge (clifford False) or Clifford product of two same-flavor elements.
 
@@ -134,8 +181,14 @@ def _product(a, b, clifford):
     complex multiply can differ in the last bit), and ``np.add.at`` adds
     them up one pair at a time, in pair order.  Pruning uses ``np.hypot``,
     which is CPython's ``abs`` of a complex.  Either way the result dict is
-    built once, in first-appearance order, and not re-validated.
+    built once, in first-appearance order, and not re-validated.  A wedge of
+    single-grade operands whose grades reach the dimension takes neither
+    path (``_top_wedge``, module docstring).
     """
+    if not clifford and a.terms and b.terms:
+        terms = _top_wedge(a, b)
+        if terms is not None:
+            return MultiVector._trusted(a.context, terms, a.flavor)
     if len(a.terms) * len(b.terms) <= _LOOP_PAIRS:
         terms = _pair_loop(a, b, clifford)
         if terms:

@@ -21,6 +21,7 @@ Conventions, fixed once:
 import cmath
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -329,17 +330,74 @@ def _mat_scale(rows, factor):
     return [[e * factor for e in row] for row in rows]
 
 
+def _same_terms(p, q):
+    # the same masks in the same order with bit-identical coefficients, so a
+    # signed zero does not match its opposite
+    return p is q or (list(p.terms) == list(q.terms)
+                      and _coefficient_bytes(p) == _coefficient_bytes(q))
+
+
+def _coefficient_bytes(mv):
+    return np.fromiter(mv.terms.values(), complex, len(mv.terms)).tobytes()
+
+
+def _operand_ids(rows):
+    # an int per nonzero entry, shared by the entries with _same_terms, and
+    # None per zero entry; candidates come from a hash of the terms, and the
+    # first entry of each id is the one compared against
+    firsts = {}
+    count = 0
+    ids = []
+    for row in rows:
+        row_ids = []
+        for e in row:
+            k = None
+            if not e.is_zero():
+                h = hash((tuple(e.terms), tuple(e.terms.values())))
+                for first, k in firsts.get(h, ()):
+                    if _same_terms(first, e):
+                        break
+                else:
+                    k, count = count, count + 1
+                    firsts.setdefault(h, []).append((e, k))
+            row_ids.append(k)
+        ids.append(row_ids)
+    return ids
+
+
 def _mat_mul(a, b, cap):
+    """Product of two square matrices of forms, entries truncated to cap.
+
+    Each distinct (left entry, right entry) product is formed once per call.
+    Entries that hold the same masks in the same order with bit-identical
+    coefficients count as one operand, and a repeated pair reuses the first
+    product, which is kept only until its last use.  Block curvatures
+    [[0, theta], [-theta, 0]] repeat each diagonal value of X**2, so every
+    wedge of the higher powers comes twice.
+    """
     size = len(a)
+    left = _operand_ids(a)
+    right = left if b is a else _operand_ids(b)
+    # the (t, operand ids) of the nonzero products of each entry of the result
+    cells = []
+    for row_ids in left:
+        nonzero = [(t, k) for t, k in enumerate(row_ids) if k is not None]
+        cells.append([[(t, (k, right[t][j])) for t, k in nonzero if right[t][j] is not None]
+                      for j in range(size)])
+    uses = Counter(key for row in cells for cell in row for _, key in cell)
+    kept = {}
     out = []
-    for i in range(size):
+    for i, row_cells in enumerate(cells):
         row = []
-        for j in range(size):
+        for j, cell in enumerate(row_cells):
             acc = None
-            for t in range(size):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                term = wedge(a[i][t], b[t][j])
+            for t, key in cell:
+                term = kept.pop(key, None)
+                if term is None:
+                    term = wedge(a[i][t], b[t][j])
+                uses[key] -= 1
+                if uses[key]:
+                    kept[key] = term
                 acc = term if acc is None else acc + term
             if acc is None:
                 acc = a[0][0].context.scalar(0.0)

@@ -8,6 +8,7 @@ Timings are measured and printed for humans but never serialized.
 
 import csv
 import functools
+import io
 import json
 import math
 import time
@@ -30,6 +31,10 @@ from .spectral import (INTEGER_RESIDUAL, AmbiguousSpectrumError, build_torus_gau
                        topological_flux, witten_index, zero_mode_asymmetry)
 
 SIGNIFICANT_DIGITS = 12
+
+# spectrum CSV rows formatted and written per call
+_CSV_ROWS = 256
+
 DEFAULT_TAUS = (0.5, 1.0, 2.0, 5.0)
 
 PLATEAU_TOL = 1e-6       # Witten plateau flatness across the tau grid
@@ -202,13 +207,29 @@ def run_sphere_case(q, k_max=30, taus=DEFAULT_TAUS):
     return report, tails, system
 
 
+def _csv_source(source):
+    # the source as the csv dialect writes the last field of a three-field
+    # row; alone in a row, an empty field would come out as ""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", "", source])
+    return buf.getvalue()[2:-2]
+
+
 def write_spectrum_csv(path, system):
-    """lambda,chirality,source rows for one system, 12-digit floats."""
+    """lambda,chirality,source rows for one system, 12-digit floats.
+
+    The bytes are csv.writer's, \\r\\n line ends included.  Rows are
+    formatted _CSV_ROWS at a time and each chunk is written with one call,
+    so the writer holds a chunk of rows, not copies of the whole spectrum.
+    """
+    tail = f",{_csv_source(system.source)}\r\n"
+    lam, chi = system.eigenvalues, system.chiralities
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "chirality", "source"])
-        for lam, chi in zip(system.eigenvalues.tolist(), system.chiralities.tolist()):
-            writer.writerow([f"{lam:.{SIGNIFICANT_DIGITS}g}", chi, system.source])
+        fh.write("lambda,chirality,source\r\n")
+        for lo in range(0, lam.size, _CSV_ROWS):
+            hi = lo + _CSV_ROWS
+            fh.write("".join(f"{x:.{SIGNIFICANT_DIGITS}g},{c}{tail}"
+                             for x, c in zip(lam[lo:hi].tolist(), chi[lo:hi].tolist())))
 
 
 # ---------------------------------------------------------------------------

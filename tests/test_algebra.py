@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -447,3 +449,95 @@ def test_hodge_sign_equals_pair_loop_sign():
             want = MultiVector(ctx, {comp: complex(coeff) * reference._reorder_sign(mask, comp)},
                                EXTERIOR)
             _assert_same(star, want)
+
+
+# -- wedges of single-grade operands whose grades reach the dimension --------
+
+
+@functools.lru_cache(maxsize=None)
+def _grade_masks(dim, grade):
+    return [m for m in range(1 << dim) if m.bit_count() == grade]
+
+
+def _graded(ctx, rng, grade, n_terms, integer=False, masks=None):
+    if masks is None:
+        pool = _grade_masks(ctx.dim, grade)
+        masks = [pool[k] for k in rng.choice(len(pool), min(n_terms, len(pool)), replace=False)]
+    if integer:
+        parts = rng.integers(-2, 3, (len(masks), 2)).astype(float)
+    else:
+        parts = rng.uniform(-1, 1, (len(masks), 2))
+    return MultiVector(ctx, {int(m): complex(*p) for m, p in zip(masks, parts)}, EXTERIOR)
+
+
+def _count_paths(monkeypatch):
+    # calls of the pair loop and of the kernel, for the products that follow
+    calls = {"loop": 0, "kernel": 0}
+    for name, path in (("_pair_loop", "loop"), ("_pair_sums", "kernel")):
+        def spy(*args, _fn=getattr(algebra, name), _path=path):
+            calls[_path] += 1
+            return _fn(*args)
+        monkeypatch.setattr(algebra, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 10, 12, 14, 16])
+def test_single_grade_wedges_equal_pair_loop(dim, monkeypatch):
+    rng = np.random.default_rng([47, dim])
+    ctx = AlgebraContext(dim)
+    calls = _count_paths(monkeypatch)
+    for ga in range(1, dim):
+        for gb in (dim - ga - 1, dim - ga, dim - ga + 1):
+            if not 0 < gb <= dim:
+                continue
+            for n_terms, integer in ((1, False), (7, True), (40, False), (200, False)):
+                a = _graded(ctx, rng, ga, n_terms, integer)
+                b = _graded(ctx, rng, gb, n_terms, integer)
+                if gb == dim - ga:
+                    # every complement of a, in a shuffled order, and then a
+                    # right operand that lacks about half of them
+                    comps = [ctx.top_mask ^ m for m in a.terms]
+                    rng.shuffle(comps)
+                    full = _graded(ctx, rng, gb, 0, integer, comps)
+                    half = _graded(ctx, rng, gb, 0, integer, comps[::2] + list(b.terms))
+                    operands = [(a, b), (a, full), (full, a), (a, half)]
+                else:
+                    operands = [(a, b), (b, a)]
+                for x, y in operands:
+                    calls.update(loop=0, kernel=0)
+                    out = wedge(x, y)
+                    _assert_same(out, reference.wedge(x, y))
+                    # grades reaching the dimension take neither pair path
+                    # (an integer draw of 0 can leave an operand empty)
+                    if x.terms and y.terms:
+                        assert (calls["loop"] + calls["kernel"] == 0) == (ga + gb >= dim)
+                    if ga + gb == dim:
+                        assert set(out.terms) <= {ctx.top_mask}
+
+
+def test_single_grade_top_wedges_cancelling_to_zero_equal_pair_loop():
+    ctx = AlgebraContext(8)
+    rng = np.random.default_rng(53)
+    top = ctx.top_mask
+    for grade in (2, 3, 4):
+        a = _graded(ctx, rng, grade, 6, integer=True)
+        b = MultiVector(ctx, {top ^ m: 1.0 for m in a.terms}, EXTERIOR)
+        x, y = list(a.terms)[:2]
+        # two top-form pairs of opposite sign: the sum is exactly 0
+        sx = reference._reorder_sign(x, top ^ x)
+        sy = reference._reorder_sign(y, top ^ y)
+        a = MultiVector(ctx, {x: 1.5 * sx, y: -1.5 * sy}, EXTERIOR)
+        for u, v in ((a, b), (b, a)):
+            out = wedge(u, v)
+            assert out.is_zero()
+            _assert_same(out, reference.wedge(u, v))
+        # a right operand with none of the complements
+        far = MultiVector(ctx, {m: 2.0 for m in b.terms if m not in (top ^ x, top ^ y)},
+                          EXTERIOR)
+        assert wedge(a, far).is_zero()
+        _assert_same(wedge(a, far), reference.wedge(a, far))
+    # v ^ v of a vector at dim 2 and of a bivector at dim 4
+    for dim, grade in ((2, 1), (4, 2)):
+        c = AlgebraContext(dim)
+        v = _graded(c, rng, grade, 6)
+        _assert_same(wedge(v, v), reference.wedge(v, v))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import random_two_form
 from diracindex.algebra import AlgebraContext, EXTERIOR, CLIFFORD, MultiVector, wedge
+from diracindex import charclasses
 from diracindex.charclasses import (
     RIEMANN,
     TWIST,
@@ -282,6 +284,144 @@ def test_index_density_torus():
     assert (flat.value - dens.value).max_norm() == 0.0
     with pytest.raises(ValueError):
         index_density(None, None)
+
+
+# -- repeated entries in the matrix powers -----------------------------------
+
+
+def _mat_mul_reference(a, b, cap):
+    # the memo-free product: one wedge per pair of nonzero entries
+    size = len(a)
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = None
+            for t in range(size):
+                if a[i][t].is_zero() or b[t][j].is_zero():
+                    continue
+                term = charclasses.wedge(a[i][t], b[t][j])
+                acc = term if acc is None else acc + term
+            if acc is None:
+                acc = a[0][0].context.scalar(0.0)
+            row.append(charclasses._truncate(acc, cap))
+        out.append(row)
+    return out
+
+
+def _bits(mv):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in mv.terms.items()]
+
+
+def _negative_form(ctx, rng, imag):
+    # a 2-form of negative real coefficients whose imaginary parts are the
+    # zero `imag`: scaling by 1 / (2 pi) keeps a -0.0 there
+    return MultiVector(ctx, {m: complex(-rng.uniform(0.1, 1.0), imag) for m in
+                             random_two_form(ctx, rng).terms}, EXTERIOR)
+
+
+def _curvatures(kind):
+    ctx = AlgebraContext({"block": 12, "dense": 6}.get(kind, 8))
+    rng = np.random.default_rng([59, len(kind)])
+    z = ctx.scalar(0.0)
+    if kind == "block":
+        tangent = block_diagonal_riemann(ctx, [random_two_form(ctx, rng) for _ in range(6)])
+        f, g = random_two_form(ctx, rng), random_two_form(ctx, rng)
+        twist = FormMatrix([[f, z, z], [z, f, z], [z, z, g]], TWIST)
+    elif kind == "dense":
+        entries = [[z] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(i + 1, 6):
+                entries[i][j] = random_two_form(ctx, rng)
+                entries[j][i] = -entries[i][j]
+        tangent = FormMatrix(entries, RIEMANN)
+        twist = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            twist[i][i] = random_two_form(ctx, rng)
+            for j in range(i + 1, 3):
+                e, f = random_two_form(ctx, rng), random_two_form(ctx, rng)
+                twist[i][j], twist[j][i] = e + 1j * f, e + (-1j) * f
+        twist = FormMatrix(twist, TWIST)
+    else:
+        # "signed zero": two blocks equal as values, apart in the sign of a zero
+        theta = _negative_form(ctx, rng, 0.0)
+        signed = MultiVector(ctx, {m: complex(c.real, -0.0) for m, c in theta.terms.items()},
+                             EXTERIOR)
+        other = {"distinct": _negative_form(ctx, rng, 0.0), "equal": theta}.get(kind, signed)
+        if kind == "reordered":
+            # one coefficient throughout: only the order of the masks differs
+            theta = MultiVector(ctx, dict.fromkeys(theta.terms, -0.5), EXTERIOR)
+            other = MultiVector(ctx, dict.fromkeys(reversed(theta.terms), -0.5), EXTERIOR)
+        tangent = block_diagonal_riemann(ctx, [theta, other, theta, other])
+        twist = FormMatrix([[theta, z, z], [z, other, z], [z, z, theta]], TWIST)
+    return tangent, twist
+
+
+def _count_wedges(monkeypatch, fn, *args):
+    calls = []
+
+    def spy(a, b):
+        calls.append(None)
+        return wedge(a, b)
+
+    monkeypatch.setattr(charclasses, "wedge", spy)
+    out = fn(*args)
+    monkeypatch.setattr(charclasses, "wedge", wedge)
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("kind", ["block", "dense", "signed zero"])
+def test_matrix_powers_equal_memo_free_products(kind, monkeypatch):
+    tangent, twist = _curvatures(kind)
+    ctx = tangent.context
+    x = charclasses._mat_scale(tangent.entries, 1.0 / TWO_PI)
+    y = charclasses._mat_scale(twist.entries, 1.0 / TWO_PI)
+    if kind == "signed zero":
+        # the precondition: the entries are equal as values, not as bits
+        assert x[0][1] == x[2][3] and _bits(x[0][1]) != _bits(x[2][3])
+    # the powers the series take, entry by entry
+    for m in (x, y):
+        power = m
+        for _ in range(ctx.dim // 2):
+            got = charclasses._mat_mul(power, m, ctx.dim)
+            want = _mat_mul_reference(power, m, ctx.dim)
+            assert [[_bits(e) for e in row] for row in got] == \
+                [[_bits(e) for e in row] for row in want]
+            power = got
+    routes = {}
+    for route, mat_mul in (("memo", charclasses._mat_mul), ("reference", _mat_mul_reference)):
+        monkeypatch.setattr(charclasses, "_mat_mul", mat_mul)
+        routes[route] = [_count_wedges(monkeypatch, fn, *args) for fn, args in
+                         ((a_hat, (tangent,)), (chern_character, (twist,)),
+                          (index_density, (tangent, twist)))]
+    monkeypatch.undo()
+    if kind == "dense":
+        # products are kept only while a repeat is to come, so with none the
+        # traced peak stays near the memo-free one
+        peaks = []
+        for mat_mul in (charclasses._mat_mul, _mat_mul_reference):
+            tracemalloc.start()
+            try:
+                mat_mul(x, x, ctx.dim)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.25 * peaks[1]
+    for (got, got_calls), (want, want_calls) in zip(routes["memo"], routes["reference"]):
+        assert _bits(got.value) == _bits(want.value)
+        if kind == "dense":
+            assert got_calls == want_calls  # nothing repeats, nothing is skipped
+        else:
+            assert got_calls < want_calls
+    if kind == "signed zero":
+        # X**2 of blocks apart in a zero's sign, or in the order of their
+        # terms, forms as many wedges as that of distinct blocks, twice as
+        # many as that of equal blocks
+        counts = []
+        for other in ("signed zero", "reordered", "distinct", "equal"):
+            m = charclasses._mat_scale(_curvatures(other)[0].entries, 1.0 / TWO_PI)
+            counts.append(_count_wedges(monkeypatch, charclasses._mat_mul, m, m, ctx.dim)[1])
+        assert counts == [4, 4, 4, 2]
 
 
 # -- scalar closed forms -----------------------------------------------------

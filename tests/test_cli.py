@@ -1,10 +1,16 @@
+import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diracindex import report
 from diracindex.cli import main
+from diracindex.report import SIGNIFICANT_DIGITS, write_spectrum_csv
+from diracindex.spectral import (SpectralSystem, build_torus_gauge, build_wilson_dirac,
+                                 heat_kernel_system, sphere_monopole_fixture)
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "curvature"
 
@@ -198,13 +204,63 @@ def test_index_sphere_reports_tails(capsys):
     assert "kmax" in err
 
 
-def test_unwritable_output_exits_2(capsys, tmp_path):
+def _assert_unwritable_output_exits_2(capsys, tmp_path, command):
     path = tmp_path / "missing-dir" / "x.csv"
-    code, _, err = run(capsys, "index-sphere", "--q", "1", "--csv", str(path))
+    code, _, err = run(capsys, command, "--q", "1", "--csv", str(path))
     assert code == 2
     assert err.startswith("cannot write output:")
     assert str(path) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    _assert_unwritable_output_exits_2(capsys, tmp_path, "index-sphere")
+
+
+def test_unwritable_torus_csv_exits_2(capsys, tmp_path):
+    _assert_unwritable_output_exits_2(capsys, tmp_path, "index-torus")
+
+
+def _csv_reference(path, system):
+    # the spectrum CSV written row by row through csv.writer
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "chirality", "source"])
+        for lam, chi in zip(system.eigenvalues.tolist(), system.chiralities.tolist()):
+            writer.writerow([f"{lam:.{SIGNIFICANT_DIGITS}g}", chi, system.source])
+
+
+def test_spectrum_csv_equals_csv_writer(tmp_path):
+    torus = heat_kernel_system(build_wilson_dirac(build_torus_gauge(12, -3)))
+    sphere = sphere_monopole_fixture(2, 40)
+    systems = [torus, sphere]
+    # sources the dialect has to quote, and an empty one
+    for source in ("a,b", 'say "hi"', "", "two\nlines", " pad "):
+        systems.append(SpectralSystem(sphere.eigenvalues[:600], sphere.chiralities[:600],
+                                      source=source))
+    # no rows, one row, and two chunks exactly and with one row more
+    systems += [SpectralSystem([], [], "torus"), SpectralSystem([0.25], [-1], "torus")]
+    for rows in (2 * report._CSV_ROWS, 2 * report._CSV_ROWS + 1):
+        systems.append(SpectralSystem(sphere.eigenvalues[:rows], sphere.chiralities[:rows],
+                                      "sphere"))
+    for system in systems:
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_spectrum_csv(got, system)
+        _csv_reference(want, system)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_spectrum_csv_peak_memory_is_one_chunk(tmp_path):
+    system = sphere_monopole_fixture(2, 300)
+    assert system.eigenvalues.size == 181802
+    tracemalloc.start()
+    try:
+        write_spectrum_csv(tmp_path / "sphere.csv", system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # copies of the whole spectrum would take 7 MB here
+    assert peak <= 2**20
 
 
 def test_characteristic_torus_integral(capsys):
