@@ -13,13 +13,13 @@ HERE = Path(__file__).resolve().parent
 
 # flat space first: the genus collapses to 1
 flat = a_hat(zero_riemann(AlgebraContext(4)))
-print("flat genus:", pretty_print(flat.value))
+print("flat genus:", pretty_print(flat))
 
 # two-block formal curvature in dimension 4
 cf = read_curvature_file(HERE / "curvature" / "two_blocks.json")
 riemann, _ = load_curvature(cf)
 genus = a_hat(riemann)
-print("\ntwo-block genus:", pretty_print(genus.value))
+print("\ntwo-block genus:", pretty_print(genus))
 
 # hand value for the degree-4 coefficient: -p1/24 with
 # p1 = (2*0.5*0.25 + 2*0.3*(-0.2)) / (2 pi)^2
@@ -32,10 +32,10 @@ print(f"degree-4 coefficient {got.real:.12e}  (hand value {want:.12e})")
 cf = read_curvature_file(HERE / "curvature" / "torus_flux.json")
 _, twist = load_curvature(cf)
 ch = chern_character(twist)
-print("\nflux character:", pretty_print(ch.value))
+print("\nflux character:", pretty_print(ch))
 top = ch.coefficient(1, 2)
 print("integral over the torus:", (top * cf.metadata["volume"]).real)
 
 # with no tangent curvature the density is just the character's top part
 dens = index_density(None, twist)
-print("index density:", pretty_print(dens.value))
+print("index density:", pretty_print(dens))

@@ -26,7 +26,6 @@ from .algebra import (
 from .charclasses import (
     ConvergenceWarning,
     FormMatrix,
-    FormSeries,
     a_closed_form,
     a_hat,
     a_series_coefficients,
@@ -36,7 +35,6 @@ from .charclasses import (
     partition_sum,
     qho_generating_function,
     series_exp,
-    series_mul,
     splitting_oracle,
     zero_riemann,
 )

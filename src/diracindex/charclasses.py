@@ -4,7 +4,10 @@ The genus of a tangent curvature and the exponential character of a twist
 curvature are polynomial identities in curvature entries, so the scalar
 coefficient tables (``a_series_coefficients``, ``splitting_oracle``) are kept
 in exact rational arithmetic and only the form-valued assembly runs in
-floating point.  The routines at the bottom give the same scalar series a
+floating point.  A form series is an exterior ``MultiVector``: ``series_exp``,
+``a_hat``, ``chern_character`` and ``index_density`` take and return them,
+and the curvature routines only ever produce even grades.  The routines at
+the bottom give the same scalar series a
 spectral meaning: a two-oscillator matrix element whose infinite-cutoff limit
 is (y/2)/sinh(y/2).
 
@@ -137,91 +140,29 @@ def splitting_oracle(n, cap):
 # form series
 
 
-class FormSeries:
-    """Even-graded exterior element, the value type of the genus routines."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        if not isinstance(value, MultiVector):
-            raise TypeError("FormSeries wraps a MultiVector")
-        if value.flavor != EXTERIOR:
-            raise TypeError("form series live in the exterior flavor")
-        if any(g % 2 for g in value.grades()):
-            raise ValueError("form series must be even-graded")
-        self.value = value
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx.scalar(1.0))
-
-    @property
-    def context(self):
-        return self.value.context
-
-    def coefficient(self, *indices):
-        return self.value.coefficient(*indices)
-
-    def scalar_part(self):
-        return self.value.terms.get(0, 0j)
-
-    def grades(self):
-        return self.value.grades()
-
-    def max_norm(self):
-        return self.value.max_norm()
-
-    def __add__(self, other):
-        if isinstance(other, FormSeries):
-            return FormSeries(self.value + other.value)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, FormSeries):
-            return FormSeries(self.value - other.value)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return FormSeries(self.value * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FormSeries):
-            return NotImplemented
-        return self.value == other.value
-
-    def __repr__(self):
-        return f"FormSeries({self.value!r})"
-
-
 def _cap(ctx, cap):
     return ctx.dim if cap is None else min(int(cap), ctx.dim)
 
 
 def _truncate(mv, cap):
+    if cap >= mv.context.dim:
+        return mv
     kept = {m: c for m, c in mv.terms.items() if m.bit_count() <= cap}
     return MultiVector._trusted(mv.context, kept, mv.flavor)
 
 
-def series_mul(a, b, cap=None):
-    """Wedge product of two series, truncated to the cap."""
-    cap = _cap(a.context, cap)
-    return FormSeries(_truncate(wedge(a.value, b.value), cap))
-
-
 def series_exp(a, cap=None):
-    """Exponential of a series.
+    """Exponential of an exterior element, truncated to the cap.
 
     The scalar part exponentiates numerically; the positive-grade remainder
     is nilpotent, so its sum terminates on its own at grade cap.
     """
+    if a.flavor != EXTERIOR:
+        raise TypeError("series_exp takes an exterior element")
     ctx = a.context
     cap = _cap(ctx, cap)
-    s = a.scalar_part()
-    nil = _truncate(MultiVector(ctx, {m: c for m, c in a.value.terms.items() if m}, EXTERIOR),
+    s = a.terms.get(0, 0j)
+    nil = _truncate(MultiVector(ctx, {m: c for m, c in a.terms.items() if m}, EXTERIOR),
                     cap)
     out = ctx.scalar(1.0)
     power = ctx.scalar(1.0)
@@ -232,7 +173,7 @@ def series_exp(a, cap=None):
         out = out + power / math.factorial(m)
     if s != 0:
         out = out * cmath.exp(s)
-    return FormSeries(_truncate(out, cap))
+    return _truncate(out, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -330,39 +271,17 @@ def _mat_scale(rows, factor):
     return [[e * factor for e in row] for row in rows]
 
 
-def _same_terms(p, q):
-    # the same masks in the same order with bit-identical coefficients, so a
-    # signed zero does not match its opposite
-    return p is q or (list(p.terms) == list(q.terms)
-                      and _coefficient_bytes(p) == _coefficient_bytes(q))
-
-
-def _coefficient_bytes(mv):
-    return np.fromiter(mv.terms.values(), complex, len(mv.terms)).tobytes()
-
-
 def _operand_ids(rows):
-    # an int per nonzero entry, shared by the entries with _same_terms, and
-    # None per zero entry; candidates come from a hash of the terms, and the
-    # first entry of each id is the one compared against
-    firsts = {}
-    count = 0
-    ids = []
+    # an int per nonzero entry, shared by the entries that hold the same masks
+    # in the same order with bit-identical coefficients (so a signed zero does
+    # not match its opposite), and None per zero entry
+    ids = {}
+    out = []
     for row in rows:
-        row_ids = []
-        for e in row:
-            k = None
-            if not e.is_zero():
-                h = hash((tuple(e.terms), tuple(e.terms.values())))
-                for first, k in firsts.get(h, ()):
-                    if _same_terms(first, e):
-                        break
-                else:
-                    k, count = count, count + 1
-                    firsts.setdefault(h, []).append((e, k))
-            row_ids.append(k)
-        ids.append(row_ids)
-    return ids
+        keys = [(tuple(e.terms), np.fromiter(e.terms.values(), complex, len(e.terms)).tobytes())
+                for e in row]
+        out.append([ids.setdefault(key, len(ids)) if key[0] else None for key in keys])
+    return out
 
 
 def _mat_mul(a, b, cap):
@@ -406,15 +325,15 @@ def _mat_mul(a, b, cap):
     return out
 
 
-def _mat_trace(rows):
-    acc = rows[0][0]
-    for i in range(1, len(rows)):
-        acc = acc + rows[i][i]
-    return acc
-
-
-def _mat_is_zero(rows):
-    return all(e.is_zero() for row in rows for e in row)
+def _power_traces(base, kmax, cap):
+    """tr(base**k) for k = 1 .. kmax, up to the first zero power."""
+    power = base
+    for k in range(1, kmax + 1):
+        if k > 1:
+            power = _mat_mul(power, base, cap)
+        if all(e.is_zero() for row in power for e in row):
+            return
+        yield sum((power[i][i] for i in range(1, len(power))), power[0][0])
 
 
 def _require_kind(matrix, kind, who):
@@ -446,16 +365,9 @@ def a_hat(curvature, cap=None):
     if kmax >= 1:
         ell = _log_a_coefficients(kmax)
         x = _mat_scale(curvature.entries, 1.0 / TWO_PI)
-        x2 = _mat_mul(x, x, cap)
-        power = x2
-        for k in range(1, kmax + 1):
-            if k > 1:
-                power = _mat_mul(power, x2, cap)
-            if _mat_is_zero(power):
-                break
-            s_k = _mat_trace(power) * (0.5 if k % 2 == 0 else -0.5)
-            exponent = exponent + s_k * float(ell[k])
-    return series_exp(FormSeries(exponent), cap)
+        for k, trace in enumerate(_power_traces(_mat_mul(x, x, cap), kmax, cap), 1):
+            exponent = exponent + trace * (0.5 if k % 2 == 0 else -0.5) * float(ell[k])
+    return series_exp(exponent, cap)
 
 
 def chern_character(twist, cap=None):
@@ -470,13 +382,9 @@ def chern_character(twist, cap=None):
     cap = _cap(ctx, cap)
     out = ctx.scalar(float(twist.size))
     y = _mat_scale(twist.entries, 1.0 / TWO_PI)
-    power = None
-    for k in range(1, cap // 2 + 1):
-        power = y if k == 1 else _mat_mul(power, y, cap)
-        if _mat_is_zero(power):
-            break
-        out = out + _mat_trace(power) / math.factorial(k)
-    return FormSeries(_truncate(out, cap))
+    for k, trace in enumerate(_power_traces(y, cap // 2, cap), 1):
+        out = out + trace / math.factorial(k)
+    return _truncate(out, cap)
 
 
 def index_density(tangent, twist, cap=None):
@@ -489,10 +397,9 @@ def index_density(tangent, twist, cap=None):
         raise ValueError("need at least one curvature matrix")
     ctx = (tangent if tangent is not None else twist).context
     cap = _cap(ctx, cap)
-    genus = a_hat(tangent, cap) if tangent is not None else FormSeries.one(ctx)
-    char = chern_character(twist, cap) if twist is not None else FormSeries.one(ctx)
-    product = series_mul(genus, char, cap)
-    return FormSeries(grade_project(product.value, ctx.dim))
+    genus = a_hat(tangent, cap) if tangent is not None else ctx.scalar(1.0)
+    char = chern_character(twist, cap) if twist is not None else ctx.scalar(1.0)
+    return grade_project(_truncate(wedge(genus, char), cap), ctx.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,8 @@ def cmd_characteristic(args):
             return 4
         series = index_density(riemann, twist, cap=cap)
 
-    text = pretty_print(series.value)
-    ctx = series.value.context
-    top = series.value.terms.get(ctx.top_mask, 0j)
+    text = pretty_print(series)
+    top = series.terms.get(series.context.top_mask, 0j)
     volume = cf.metadata.get("volume")
     integral = None if volume is None else (top * volume).real
     if args.format == "json":

@@ -270,6 +270,19 @@ def plaquette_angles(gauge):
     return np.angle(hol)
 
 
+def _nearest_integer(total, what):
+    """total rounded to the nearest integer.
+
+    Raises AmbiguousSpectrumError, its message led by `what`, when total
+    misses every integer by INTEGER_RESIDUAL or more.
+    """
+    nearest = round(total)
+    if abs(total - nearest) >= INTEGER_RESIDUAL:
+        raise AmbiguousSpectrumError(
+            f"{what} {total:.6f} is not within {INTEGER_RESIDUAL} of an integer")
+    return int(nearest)
+
+
 def topological_flux(gauge):
     """Total plaquette angle over 2 pi, rounded to the nearest integer.
 
@@ -277,12 +290,7 @@ def topological_flux(gauge):
     more, which means some holonomy angle wrapped off the principal branch
     and the field is not resolving its own flux.
     """
-    total = float(plaquette_angles(gauge).sum() / TWO_PI)
-    nearest = round(total)
-    if abs(total - nearest) >= INTEGER_RESIDUAL:
-        raise AmbiguousSpectrumError(
-            f"plaquette flux {total:.6f} is not within {INTEGER_RESIDUAL} of an integer")
-    return int(nearest)
+    return _nearest_integer(float(plaquette_angles(gauge).sum() / TWO_PI), "plaquette flux")
 
 
 def gauge_transform(gauge, site_phases):
@@ -685,10 +693,7 @@ def overlap_index(op):
     near-zero eigenvalue) or the half-trace misses an integer by 0.01.
     """
     raw = -0.5 * sum(float(np.sum(np.sign(block.kernel))) for block in op._block_spectra)
-    nearest = round(raw)
-    if abs(raw - nearest) >= INTEGER_RESIDUAL:
-        raise AmbiguousSpectrumError(f"half-trace {raw:.6f} is not near an integer")
-    return int(nearest)
+    return _nearest_integer(raw, "half-trace")
 
 
 def heat_kernel_system(op):

@@ -142,7 +142,7 @@ def test_accept_04_genus_matches_rational_oracle():
     p2 = wedge(sq[0], sq[1]) + wedge(sq[0], sq[2]) + wedge(sq[1], sq[2])
     want = (ctx.scalar(1.0) - p1 * (1.0 / 24.0)
             + (wedge(p1, p1) * 7.0 - p2 * 4.0) * (1.0 / 5760.0))
-    dev = (genus.value - want).max_norm()
+    dev = (genus - want).max_norm()
     elapsed = time.perf_counter() - t0
     ok = dev <= 1e-10 and elapsed < 5.0
     verdict("A4", "curvature genus equals 1 - p1/24 + (7 p1^2 - 4 p2)/5760", ok,

@@ -2,18 +2,19 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_two_form
 from diracindex.algebra import AlgebraContext, EXTERIOR, CLIFFORD, MultiVector, wedge
+from diracindex.formdsl import load_curvature, read_curvature_file
 from diracindex import charclasses
 from diracindex.charclasses import (
     RIEMANN,
     TWIST,
     FormMatrix,
-    FormSeries,
     TWO_PI,
     a_closed_form,
     a_hat,
@@ -116,25 +117,53 @@ def test_splitting_oracle_matches_direct_product_exactly():
 
 # -- series layer ------------------------------------------------------------
 
-def test_form_series_validation():
-    ctx = AlgebraContext(4)
-    with pytest.raises(ValueError):
-        FormSeries(ctx.generator(1))  # odd grade
-    with pytest.raises(TypeError):
-        FormSeries(ctx.scalar(1.0, CLIFFORD))
-    s = FormSeries(ctx.scalar(2.0) + ctx.blade([1, 2]))
-    assert s.scalar_part() == 2.0
-    assert s.grades() == [0, 2]
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "curvature"
+
+
+@pytest.mark.parametrize("source", ["two_blocks.json", "torus_flux.json", "block dim 8"])
+def test_series_are_even_exterior_elements(source):
+    # every series routine returns a plain exterior MultiVector of even
+    # grades only, at every cap
+    if source == "block dim 8":
+        rng = np.random.default_rng(83)
+        ctx = AlgebraContext(8)
+        tangent = block_diagonal_riemann(ctx, [random_two_form(ctx, rng) for _ in range(4)])
+        twist = FormMatrix([[random_two_form(ctx, rng)]], TWIST)
+    else:
+        tangent, twist = load_curvature(read_curvature_file(DEMO_DIR / source))
+    dim = (tangent or twist).context.dim
+    for cap in (None, dim - 1, 4, 2):
+        outs = [index_density(tangent, twist, cap)]
+        if tangent is not None:
+            outs.append(a_hat(tangent, cap))
+        if twist is not None:
+            outs.append(chern_character(twist, cap))
+        outs += [series_exp(out, cap) for out in outs]
+        for out in outs:
+            assert type(out) is MultiVector and out.flavor == EXTERIOR
+            assert all(g % 2 == 0 and g <= (cap or dim) for g in out.grades())
+        if cap is None:
+            assert all(not out.is_zero() for out in outs)
 
 
 def test_series_exp_against_hand_expansion():
     ctx = AlgebraContext(4)
-    a = FormSeries(ctx.blade([1, 2]) + ctx.blade([3, 4]))
+    a = ctx.blade([1, 2]) + ctx.blade([3, 4])
     full = series_exp(a, 4)
     want = ctx.scalar(1.0) + ctx.blade([1, 2]) + ctx.blade([3, 4]) + ctx.blade([1, 2, 3, 4])
-    assert (full.value - want).max_norm() < 1e-15
+    assert (full - want).max_norm() < 1e-15
     capped = series_exp(a, 2)
-    assert capped.value.terms.get(0b1111) is None
+    assert capped.terms.get(0b1111) is None
+    with pytest.raises(TypeError):
+        series_exp(ctx.scalar(1.0, CLIFFORD))
+
+
+def test_truncate_keeps_the_element_at_full_cap():
+    ctx = AlgebraContext(4)
+    mv = ctx.scalar(2.0) + ctx.blade([1, 2]) + ctx.blade([1, 2, 3, 4])
+    assert charclasses._truncate(mv, ctx.dim) is mv
+    assert charclasses._truncate(mv, 3) == ctx.scalar(2.0) + ctx.blade([1, 2])
+    assert mv.grades() == [0, 2, 4]
 
 
 # -- curvature matrices ------------------------------------------------------
@@ -183,7 +212,7 @@ def test_block_diagonal_riemann():
 def test_a_hat_flat_is_one():
     ctx = AlgebraContext(6)
     A = a_hat(zero_riemann(ctx))
-    assert A.value == ctx.scalar(1.0)
+    assert A == ctx.scalar(1.0)
 
 
 def test_a_hat_single_block_matches_scalar_series():
@@ -196,7 +225,7 @@ def test_a_hat_single_block_matches_scalar_series():
     x = theta * (1.0 / TWO_PI)
     coeffs = a_series_coefficients(2)
     want = ctx.scalar(float(coeffs[0])) + float(coeffs[1]) * wedge(x, x)
-    assert (A.value - want).max_norm() < 1e-15
+    assert (A - want).max_norm() < 1e-15
 
 
 def test_a_hat_matches_splitting_oracle():
@@ -222,7 +251,7 @@ def test_a_hat_matches_splitting_oracle():
         for j in key:
             term = wedge(term, elementary(j))
         want = want + term
-    assert (A.value - want).max_norm() < 1e-12
+    assert (A - want).max_norm() < 1e-12
 
 
 def test_a_hat_rejects_twist():
@@ -236,11 +265,11 @@ def test_chern_character_rank_and_flux():
     ctx = AlgebraContext(2)
     F = FormMatrix([[3.0 * ctx.blade([1, 2])]], TWIST)
     ch = chern_character(F)
-    assert ch.scalar_part() == 1.0
+    assert ch.coefficient() == 1.0
     assert abs(ch.coefficient(1, 2) - 3.0 / TWO_PI) < 1e-15
     z = ctx.scalar(0.0)
     triv = FormMatrix([[z, z], [z, z]], TWIST)
-    assert chern_character(triv).value == ctx.scalar(2.0)
+    assert chern_character(triv) == ctx.scalar(2.0)
 
 
 def test_chern_character_additive_on_direct_sums():
@@ -255,7 +284,7 @@ def test_chern_character_additive_on_direct_sums():
                          [z, F2.entry(1, 0), F2.entry(1, 1)]], TWIST)
     lhs = chern_character(joined)
     rhs = chern_character(F1) + chern_character(F2)
-    assert (lhs.value - rhs.value).max_norm() < 1e-15
+    assert (lhs - rhs).max_norm() < 1e-15
 
 
 def test_chern_character_real_for_valid_twists():
@@ -271,7 +300,7 @@ def test_chern_character_real_for_valid_twists():
             entries[i][j] = e + 1j * f
             entries[j][i] = e + (-1j) * f
     ch = chern_character(FormMatrix(entries, TWIST))
-    assert max(abs(c.imag) for c in ch.value.terms.values()) < 1e-12
+    assert max(abs(c.imag) for c in ch.terms.values()) < 1e-12
 
 
 def test_index_density_torus():
@@ -281,7 +310,7 @@ def test_index_density_torus():
     assert dens.grades() in ([], [2])
     assert abs(dens.coefficient(1, 2).real * TWO_PI - 3.0) < 1e-12
     flat = index_density(zero_riemann(ctx), F)
-    assert (flat.value - dens.value).max_norm() == 0.0
+    assert (flat - dens).max_norm() == 0.0
     with pytest.raises(ValueError):
         index_density(None, None)
 
@@ -408,7 +437,7 @@ def test_matrix_powers_equal_memo_free_products(kind, monkeypatch):
                 tracemalloc.stop()
         assert peaks[0] <= 1.25 * peaks[1]
     for (got, got_calls), (want, want_calls) in zip(routes["memo"], routes["reference"]):
-        assert _bits(got.value) == _bits(want.value)
+        assert _bits(got) == _bits(want)
         if kind == "dense":
             assert got_calls == want_calls  # nothing repeats, nothing is skipped
         else:

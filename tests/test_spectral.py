@@ -19,6 +19,7 @@ from diracindex.spectral import (
     LatticeGaugeField,
     PairViolation,
     SpectralSystem,
+    _nearest_integer,
     build_torus_gauge,
     build_wilson_dirac,
     gauge_transform,
@@ -162,6 +163,16 @@ def test_sphere_tail_bound():
         sphere_monopole_fixture(0.5, 10)
     with pytest.raises(ValueError):
         sphere_tail_bound(1, 10, 0.0)
+
+
+def test_nearest_integer_accepts_within_the_residual():
+    # the one integer check behind the plaquette flux, the half-trace and
+    # the sphere flux: a miss under INTEGER_RESIDUAL rounds, a larger one
+    # raises under the caller's name
+    assert _nearest_integer(3.004, "plaquette flux") == 3
+    assert _nearest_integer(-2.996, "half-trace") == -3
+    with pytest.raises(AmbiguousSpectrumError, match="^half-trace 2.500000 is not within 0.01"):
+        _nearest_integer(2.5, "half-trace")
 
 
 def test_sphere_flux_is_the_character_integral(monkeypatch):
