@@ -51,6 +51,8 @@ PRUNE_RELATIVE = 1e-14
 
 _MAX_DIM = 16
 
+_INF = float("inf")
+
 _FLAVOR_SEP = {EXTERIOR: "^", CLIFFORD: "*"}
 
 # term pairs per step of the product kernel (rows of a times all of b, at
@@ -126,8 +128,8 @@ def _pair_loop(a, b, clifford):
     # multiply, negated on odd parity, added to 0j in pair order
     out = {}
     get = out.get
-    rows = [(y, _parity_mask(y, clifford), cy) for y, cy in b.terms.items()]
-    for x, cx in a.terms.items():
+    rows = [(y, _parity_mask(y, clifford), cy) for y, cy in b.items()]
+    for x, cx in a.items():
         for y, flip, cy in rows:
             if not clifford and x & y:
                 continue
@@ -143,69 +145,134 @@ def _single_grade(terms):
     return grades.pop() if len(grades) == 1 else None
 
 
-def _top_wedge(a, b):
-    # the terms of a ^ b when both operands have a single grade and the grades
-    # reach dim, else None; the top-form sum is the pair loop's, in row order
-    dim = a.context.dim
-    if next(iter(a.terms)).bit_count() + next(iter(b.terms)).bit_count() < dim:
-        return None
-    ga, gb = _single_grade(a.terms), _single_grade(b.terms)
+def _not_finite():
+    return OverflowError("a product coefficient is not finite")
+
+
+def _top_wedge(a, b, dim):
+    # the terms of a ^ b when both operands have a single grade, else None;
+    # called once the grades of their first terms reach dim.  The top-form
+    # sum is the pair loop's, in row order
+    ga, gb = _single_grade(a), _single_grade(b)
     if ga is None or gb is None:
         return None
     if ga + gb > dim:
         return {}
-    top = a.context.top_mask
-    get = b.terms.get
+    top = (1 << dim) - 1
+    get = b.get
     # the pair (x, top ^ x) swaps each generator k of x past the complement's
     # generators under k, of which there are k less x's generators under k;
     # summed over x that is x's bit positions, of parity
     # popcount(x & _ODD_BITS), less ga (ga - 1) / 2
     flip = ga * (ga - 1) // 2
     acc = 0j
-    for x, cx in a.terms.items():
+    for x, cx in a.items():
         cy = get(top ^ x)
         if cy is not None:
             c = cx * cy
             acc = acc + (-c if ((x & _ODD_BITS).bit_count() + flip) & 1 else c)
+    size = abs(acc)
+    if not size < _INF:
+        raise _not_finite()
     # the pair paths' relative prune, on one term: no pair, or pairs that
     # cancel exactly, leave a zero that it drops
-    return {top: acc} if abs(acc) > PRUNE_RELATIVE * abs(acc) else {}
+    return {top: acc} if size > PRUNE_RELATIVE * size else {}
 
 
-def _product(a, b, clifford):
-    """Wedge (clifford False) or Clifford product of two same-flavor elements.
+def _one_pair(x, cx, y, cy, clifford):
+    # the pair loop and its prune for a single term pair, such as an
+    # expression's wedge of two generators: the sum 0j + (+-c), dropped only
+    # when exactly zero, without the loop's set-up
+    if not clifford and x & y:
+        return {}
+    c = cx * cy
+    c = 0j + (-c if (x & _parity_mask(y, clifford)).bit_count() & 1 else c)
+    size = abs(c)
+    if not size < _INF:
+        raise _not_finite()
+    return {x ^ y: c} if size > PRUNE_RELATIVE * size else {}
 
-    Up to ``_LOOP_PAIRS`` term pairs the pairs are summed in a dictionary
-    loop; larger products go through the numpy kernel.  There coefficients
+
+def _product_terms(a, b, dim, clifford):
+    """Term dict of the wedge (clifford False) or Clifford product of two term dicts.
+
+    The one product of the package: ``wedge``, ``clifford_mul`` and the
+    expression evaluator of ``formdsl`` all form their products here.  Up to
+    ``_LOOP_PAIRS`` term pairs the pairs are summed in a dictionary loop (a
+    single pair without the loop's set-up, ``_one_pair``); larger products
+    go through the numpy kernel.  There coefficients
     multiply in real arithmetic as CPython's complex product does (numpy's
     complex multiply can differ in the last bit), and ``np.add.at`` adds
     them up one pair at a time, in pair order.  Pruning uses ``np.hypot``,
     which is CPython's ``abs`` of a complex.  Either way the result dict is
-    built once, in first-appearance order, and not re-validated.  A wedge of
-    single-grade operands whose grades reach the dimension takes neither
-    path (``_top_wedge``, module docstring).
+    built once, in first-appearance order, holding nonzero complex values.
+    A wedge of single-grade operands whose grades reach the dimension takes
+    neither path (``_top_wedge``, module docstring).  A coefficient that is
+    infinite or NaN raises ``OverflowError``: a relative prune against it
+    would drop every term.
     """
-    if not clifford and a.terms and b.terms:
-        terms = _top_wedge(a, b)
+    if (not clifford and a and b
+            and next(iter(a)).bit_count() + next(iter(b)).bit_count() >= dim):
+        terms = _top_wedge(a, b, dim)
         if terms is not None:
-            return MultiVector._trusted(a.context, terms, a.flavor)
-    if len(a.terms) * len(b.terms) <= _LOOP_PAIRS:
+            return terms
+    if len(a) * len(b) <= _LOOP_PAIRS:
+        if len(a) == 1 == len(b):
+            (x, cx), = a.items()
+            (y, cy), = b.items()
+            return _one_pair(x, cx, y, cy, clifford)
         terms = _pair_loop(a, b, clifford)
         if terms:
-            cut = PRUNE_RELATIVE * max(map(abs, terms.values()))
-            terms = {m: c for m, c in terms.items() if abs(c) > cut}
-        return MultiVector._trusted(a.context, terms, a.flavor)
-    hit, coeffs = _pair_sums(np.fromiter(a.terms, np.intp, len(a.terms)),
-                             np.fromiter(a.terms.values(), complex, len(a.terms)),
-                             np.fromiter(b.terms, np.intp, len(b.terms)),
-                             np.fromiter(b.terms.values(), complex, len(b.terms)),
-                             a.context.top_mask + 1, clifford)
-    magnitude = np.hypot(coeffs.real, coeffs.imag)
+            sizes = list(map(abs, terms.values()))
+            top, total = max(sizes), sum(sizes)
+            # a NaN after the first term hides from max, never from sum
+            if not top < _INF or total != total:
+                raise _not_finite()
+            cut = PRUNE_RELATIVE * top
+            if min(sizes) <= cut:
+                terms = {m: c for (m, c), size in zip(terms.items(), sizes) if size > cut}
+        return terms
+    # an overflow shows as a non-finite coefficient, refused below, not as
+    # numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        hit, coeffs = _pair_sums(np.fromiter(a, np.intp, len(a)),
+                                 np.fromiter(a.values(), complex, len(a)),
+                                 np.fromiter(b, np.intp, len(b)),
+                                 np.fromiter(b.values(), complex, len(b)),
+                                 1 << dim, clifford)
+        magnitude = np.hypot(coeffs.real, coeffs.imag)
     if hit.size:
-        keep = magnitude > PRUNE_RELATIVE * magnitude.max()
+        top = magnitude.max()
+        if not top < _INF:
+            raise _not_finite()
+        keep = magnitude > PRUNE_RELATIVE * top
         hit, coeffs = hit[keep], coeffs[keep]
-    terms = dict(zip(hit.tolist(), coeffs.tolist()))
-    return MultiVector._trusted(a.context, terms, a.flavor)
+    return dict(zip(hit.tolist(), coeffs.tolist()))
+
+
+def _product(a, b, clifford):
+    """``_product_terms`` of two same-flavor elements, as an element."""
+    return MultiVector._trusted(
+        a.context, _product_terms(a.terms, b.terms, a.context.dim, clifford), a.flavor)
+
+
+def _accumulate(out, terms, subtract=False):
+    """Add (or subtract) a term dict into ``out`` in place.
+
+    A key already in ``out`` keeps its place, a new key is appended in the
+    order of ``terms``, and a key whose sum is exactly zero is dropped, so a
+    later term of the same key is appended again.  The sum is
+    ``out.get(m, 0) + c`` (or ``- c``) for every key, as ``+`` and ``-``
+    of two elements form it.
+    """
+    get = out.get
+    for m, c in terms.items():
+        s = get(m, 0) - c if subtract else get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
 
 
 class AlgebraContext:
@@ -332,18 +399,13 @@ class MultiVector:
 
     def __add__(self, other):
         self._require_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return MultiVector._trusted(self.context, {m: c for m, c in out.items() if c},
+        return MultiVector._trusted(self.context, _accumulate(dict(self.terms), other.terms),
                                     self.flavor)
 
     def __sub__(self, other):
         self._require_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return MultiVector._trusted(self.context, {m: c for m, c in out.items() if c},
+        return MultiVector._trusted(self.context,
+                                    _accumulate(dict(self.terms), other.terms, subtract=True),
                                     self.flavor)
 
     def __neg__(self):

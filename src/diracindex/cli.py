@@ -5,12 +5,15 @@ argument validation (one stderr line; numbers must be finite), an
 index-torus --N or index-sphere --q/--kmax whose peak memory exceeds the
 budget, or an output path (--out, --csv) that cannot be written, 3
 numerical ambiguity (no clean zero/nonzero split) or a Wilson operator that
-breaks chirality-hermiticity, 4 curvature file error.  Human-readable
-tables go to stdout; --format json swaps in the deterministic report
-rendering (timings stay out of JSON).
+breaks chirality-hermiticity, 4 curvature file error, non-finite input
+included (a number too large for a float, a NaN, infinite or boolean
+volume, a series or integral that overflows).  Human-readable tables go to
+stdout; --format json swaps in the deterministic report rendering (timings
+stay out of JSON).
 """
 
 import argparse
+import cmath
 import functools
 import math
 import sys
@@ -143,26 +146,34 @@ def cmd_characteristic(args):
     cf = read_curvature_file(args.file)
     riemann, twist = load_curvature(cf)
     cap = args.order
-    if args.which == "ahat":
-        if riemann is None:
-            print("characteristic: file has no riemann matrix", file=sys.stderr)
-            return 4
-        series = a_hat(riemann, cap=cap)
-    elif args.which == "chern":
-        if twist is None:
-            print("characteristic: file has no twist matrix", file=sys.stderr)
-            return 4
-        series = chern_character(twist, cap=cap)
-    else:
-        if riemann is None and twist is None:
-            print("characteristic: file has neither matrix", file=sys.stderr)
-            return 4
-        series = index_density(riemann, twist, cap=cap)
+    if args.which == "ahat" and riemann is None:
+        print("characteristic: file has no riemann matrix", file=sys.stderr)
+        return 4
+    if args.which == "chern" and twist is None:
+        print("characteristic: file has no twist matrix", file=sys.stderr)
+        return 4
+    if riemann is None and twist is None:
+        print("characteristic: file has neither matrix", file=sys.stderr)
+        return 4
+    try:
+        if args.which == "ahat":
+            series = a_hat(riemann, cap=cap)
+        elif args.which == "chern":
+            series = chern_character(twist, cap=cap)
+        else:
+            series = index_density(riemann, twist, cap=cap)
+    except OverflowError as exc:
+        print(f"characteristic: the series overflows: {exc}", file=sys.stderr)
+        return 4
 
-    text = pretty_print(series)
     top = series.terms.get(series.context.top_mask, 0j)
     volume = cf.metadata.get("volume")
     integral = None if volume is None else (top * volume).real
+    if not (cmath.isfinite(top) and (integral is None or math.isfinite(integral))):
+        print("characteristic: the top coefficient or its integral is not finite",
+              file=sys.stderr)
+        return 4
+    text = pretty_print(series)
     if args.format == "json":
         doc = {"which": args.which, "n": cf.n, "series": text,
                "top_coefficient": top.real}

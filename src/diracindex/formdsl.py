@@ -14,15 +14,29 @@ The file container is JSON with keys n (half-dimension), metadata
 cells being expression strings or the bare number 0.  Every failure, lexing,
 parsing, evaluation or container shape, is a positioned DslError; byte
 offsets refer to the UTF-8 encoding of the offending expression string.
+Numbers too large for a float, a non-finite or boolean metadata.volume, and
+non-finite cell values are failures too.
+
+Expressions evaluate on plain {mask: complex} term dicts, and a cell becomes
+one MultiVector only when it is complete.  Products go through the algebra's
+one product, ``algebra._product_terms``.  A left-associated sum is folded
+into one accumulator, with the rule of MultiVector + and -: the keys of the
+sum so far keep their places, new keys are appended in order, and a key
+whose sum is exactly zero is dropped, so a later term of that key is
+appended again.  The result equals evaluating with MultiVector operations
+bit for bit, key order included.
 """
 
+import cmath
 import itertools
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import AlgebraContext, EXTERIOR, wedge
+from .algebra import AlgebraContext, EXTERIOR, MultiVector, _accumulate, _product_terms
 from .charclasses import RIEMANN, TWIST, FormMatrix
 
 
@@ -50,16 +64,21 @@ class Token(NamedTuple):
     end: int
 
 
+# each match is a token with the whitespace before it; the groups, by
+# number: 1 one-character symbol, 2 generator digits, 3 number, 4 end, 5 any
+# other character.  No two of the first three can start alike, so their
+# order is free: the most frequent come first
 _TOKEN_RE = re.compile(
-    r"""(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-      | (?P<generator>e\d+)
-      | (?P<imag_unit>i)
-      | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<caret>\^)
-      | (?P<lparen>\() | (?P<rparen>\))
-      | (?P<space>\s+) | (?P<unknown>.)
+    r"""\s*(?:(?P<symbol>[-+*^()i])
+      | e(?P<generator>\d+)
+      | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+      | (?P<end>\Z) | (?P<unknown>.))
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+_SYMBOLS = {"+": "plus", "-": "minus", "*": "star", "^": "caret",
+            "(": "lparen", ")": "rparen", "i": "imag_unit"}
 
 
 def tokenize(text, dim=None):
@@ -67,29 +86,43 @@ def tokenize(text, dim=None):
 
     Longest match wins.  With dim given, generator indices are range-checked
     here; otherwise they are checked at evaluation time against the context.
+    A number too large for a float is an error.
     """
+    return list(map(Token._make, _lex(text, dim)))
+
+
+def _lex(text, dim):
+    # tokenize's tokens as plain (kind, value, start, end) tuples, which the
+    # parser reads alike and which cost a fraction of a Token to make;
     # byte offset of each character boundary, when they differ from the indices
     byte_at = None if text.isascii() else [
         0, *itertools.accumulate(len(ch.encode("utf-8")) for ch in text)]
     tokens = []
-    # every character starts a match, a run of whitespace one in all
+    append = tokens.append
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        span = m.span() if byte_at is None else (byte_at[m.start()], byte_at[m.end()])
-        if kind == "unknown":
-            raise DslError(f"unexpected character {m.group()!r}", *span)
-        value = None
-        if kind == "number":
-            value = float(m.group())
-        elif kind == "generator":
-            value = int(m.group()[1:])
+        group = m.lastindex
+        # a generator's span starts at its e, one character before the digits
+        start, end = m.start(group) - (group == 2), m.end()
+        if byte_at is not None:
+            start, end = byte_at[start], byte_at[end]
+        if group == 1:
+            append((_SYMBOLS[m[1]], None, start, end))
+        elif group == 3:
+            value = float(m[3])
+            if value == math.inf:
+                raise DslError(f"number {m[3]!r} is too large for a float", start, end)
+            append(("number", value, start, end))
+        elif group == 2:
+            value = int(m[2])
             if value < 1 or (dim is not None and value > dim):
-                raise DslError(f"generator index {value} outside 1..{dim}", *span)
-        tokens.append(Token(kind, value, *span))
-    end = len(text) if byte_at is None else byte_at[-1]
-    tokens.append(Token("end", None, end, end))
+                raise DslError(f"generator index {value} outside 1..{dim}", start, end)
+            append(("generator", value, start, end))
+        elif group == 5:
+            raise DslError(f"unexpected character {m[5]!r}", start, end)
+        else:
+            # the end of the text, after any trailing whitespace
+            append(("end", None, start, end))
+            break
     return tokens
 
 
@@ -102,7 +135,12 @@ _BINARY = {"add": "+", "sub": "-", "mul": "*", "wedge": "^"}
 MAX_NESTING = 100
 
 
+_SUM_OPS = {"plus": "add", "minus": "sub"}
+
+
 class _Parser:
+    # the loops read self.tokens[self.pos] in place of method calls
+
     def __init__(self, tokens):
         self.tokens = list(tokens)
         self.pos = 0
@@ -118,84 +156,84 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, reason):
         tok = self.peek()
-        raise DslError(reason, tok.start, tok.end)
+        raise DslError(reason, tok[2], tok[3])
 
     def parse_sum(self):
+        tokens = self.tokens
         node = self.parse_unary()
-        while self.peek().kind in ("plus", "minus"):
-            op = self.take()
+        while (kind := _SUM_OPS.get(tokens[self.pos][0])) is not None:
+            self.pos += 1
             rhs = self.parse_unary()
-            kind = "add" if op.kind == "plus" else "sub"
             node = (kind, node, rhs, (node[-1][0], rhs[-1][1]))
         return node
 
     def parse_unary(self):
-        if self.peek().kind == "minus":
-            self.nest()
-            op = self.take()
-            child = self.parse_unary()
-            self.depth -= 1
-            return ("neg", child, (op.start, child[-1][1]))
-        return self.parse_product()
+        op = self.tokens[self.pos]
+        if op[0] != "minus":
+            return self.parse_product()
+        self.nest()
+        self.pos += 1
+        child = self.parse_unary()
+        self.depth -= 1
+        return ("neg", child, (op[2], child[-1][1]))
 
     def parse_product(self):
+        tokens = self.tokens
         node = self.parse_wedge()
-        while self.peek().kind == "star":
-            self.take()
+        while tokens[self.pos][0] == "star":
+            self.pos += 1
             rhs = self.parse_wedge()
             node = ("mul", node, rhs, (node[-1][0], rhs[-1][1]))
         return node
 
     def parse_wedge(self):
+        tokens = self.tokens
         node = self.parse_atom()
-        while self.peek().kind == "caret":
-            self.take()
+        while tokens[self.pos][0] == "caret":
+            self.pos += 1
             rhs = self.parse_atom()
             node = ("wedge", node, rhs, (node[-1][0], rhs[-1][1]))
         return node
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            return ("scalar", complex(tok.value), (tok.start, tok.end))
-        if tok.kind == "imag_unit":
-            self.take()
-            return ("scalar", 1j, (tok.start, tok.end))
-        if tok.kind == "generator":
-            self.take()
-            return ("gen", tok.value, (tok.start, tok.end))
-        if tok.kind == "lparen":
+        kind, value, start, end = self.tokens[self.pos]
+        if kind == "number":
+            self.pos += 1
+            return ("scalar", complex(value), (start, end))
+        if kind == "generator":
+            self.pos += 1
+            return ("gen", value, (start, end))
+        if kind == "imag_unit":
+            self.pos += 1
+            return ("scalar", 1j, (start, end))
+        if kind == "lparen":
             self.nest()
-            lp = self.take()
+            self.pos += 1
             node = self.parse_sum()
-            if self.peek().kind != "rparen":
+            rp = self.peek()
+            if rp[0] != "rparen":
                 self.fail("unbalanced parenthesis")
-            rp = self.take()
+            self.pos += 1
             self.depth -= 1
-            return node[:-1] + ((lp.start, rp.end),)
-        self.fail(f"expected a number, i, a generator, or '(', found {tok.kind}")
+            return node[:-1] + ((start, rp[3]),)
+        self.fail(f"expected a number, i, a generator, or '(', found {kind}")
 
 
 def parse(tokens):
     """Token list to ExprAst.
 
-    Nodes are tuples (kind, ..., span): ("scalar", complex, span),
+    Tokens are read by position, (kind, value, start, end), so Tokens and
+    plain tuples parse alike.  Nodes are tuples (kind, ..., span): ("scalar", complex, span),
     ("gen", index, span), ("neg", child, span), and ("add"|"sub"|"mul"|
     "wedge", left, right, span).  Nesting past ``MAX_NESTING`` levels of
     parentheses and unary minus is a DslError.
     """
     p = _Parser(tokens)
     node = p.parse_sum()
-    if p.peek().kind != "end":
-        p.fail(f"unexpected {p.peek().kind} after a complete expression")
+    if p.peek()[0] != "end":
+        p.fail(f"unexpected {p.peek()[0]} after a complete expression")
     return node
 
 
@@ -206,44 +244,57 @@ def eval_expr(ast, ctx):
     A left-associated chain of binary nodes (a long sum, say) is folded in
     a loop, leftmost operand first, so its length costs no recursion.
     """
+    return MultiVector._trusted(ctx, _eval_terms(ast, ctx.dim), EXTERIOR)
+
+
+def _eval_terms(ast, dim):
+    # the term dict of an ExprAst: a fresh dict, so a sum adds into it in place
     spine = []
     while ast[0] in _BINARY:
         spine.append(ast)
         ast = ast[1]
-    value = _eval_leaf(ast, ctx)
+    kind = ast[0]
+    if kind == "gen":
+        idx = ast[1]
+        if not 1 <= idx <= dim:
+            raise DslError(f"generator index {idx} outside 1..{dim}", *ast[-1])
+        value = {1 << (idx - 1): 1 + 0j}
+    elif kind == "scalar":
+        c = complex(ast[1])
+        value = {0: c} if c != 0 else {}
+    elif kind == "neg":
+        value = _eval_terms(ast[1], dim)
+        for m, c in value.items():
+            value[m] = -c
+    else:
+        raise DslError(f"malformed ast node {kind!r}", *ast[-1])
     for node in reversed(spine):
-        value = _combine(node, value, eval_expr(node[2], ctx))
+        right = _eval_terms(node[2], dim)
+        kind = node[0]
+        if kind == "add":
+            _accumulate(value, right)
+        elif kind == "sub":
+            _accumulate(value, right, subtract=True)
+        elif kind == "wedge":
+            try:
+                value = _product_terms(value, right, dim, False)
+            except OverflowError as exc:
+                raise DslError(str(exc), *node[-1]) from exc
+        else:
+            value = _scaled_terms(node, value, right)
     return value
 
 
-def _eval_leaf(ast, ctx):
-    kind = ast[0]
-    if kind == "scalar":
-        return ctx.scalar(ast[1])
-    if kind == "gen":
-        idx = ast[1]
-        if not 1 <= idx <= ctx.dim:
-            raise DslError(f"generator index {idx} outside 1..{ctx.dim}", *ast[-1])
-        return ctx.generator(idx)
-    if kind == "neg":
-        return -eval_expr(ast[1], ctx)
-    raise DslError(f"malformed ast node {kind!r}", *ast[-1])
-
-
-def _combine(ast, left, right):
-    kind = ast[0]
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    if kind == "wedge":
-        return wedge(left, right)
-    # "mul": one side must be a scalar
-    if set(left.terms) <= {0}:
-        return right * left.terms.get(0, 0j)
-    if set(right.terms) <= {0}:
-        return left * right.terms.get(0, 0j)
-    raise DslError("'*' multiplies by scalars; combine forms with '^'", *ast[-1])
+def _scaled_terms(ast, left, right):
+    # "mul": one side must be a scalar; the form's coefficients times it, as
+    # MultiVector * scalar forms them, exact zeros dropped
+    if left.keys() <= {0}:
+        form, factor = right, left.get(0, 0j)
+    elif right.keys() <= {0}:
+        form, factor = left, right.get(0, 0j)
+    else:
+        raise DslError("'*' multiplies by scalars; combine forms with '^'", *ast[-1])
+    return {m: p for m, c in form.items() if (p := c * factor)}
 
 
 # -- printers ------------------------------------------------------------------
@@ -261,6 +312,14 @@ def _coeff_pieces(c):
     return "+", f"({repr(c.real)}{joiner}{repr(abs(c.imag))}*i)"
 
 
+def _subset_blades(names):
+    # the blade of every subset of names, indexed by the subset's bit mask
+    out = [""]
+    for name in names:
+        out += [f"{blade}^{name}" if blade else name for blade in out]
+    return out
+
+
 def pretty_print(mv):
     """Canonical expression for an exterior element.
 
@@ -270,20 +329,28 @@ def pretty_print(mv):
     """
     if mv.flavor != EXTERIOR:
         raise TypeError("pretty_print renders exterior elements")
-    if not mv.terms:
+    terms = mv.terms
+    if not terms:
         return "0"
+    # a blade is the blade of its mask's low half, then of its high half,
+    # each looked up in a table of 2**(dim/2) names
+    dim = mv.context.dim
+    half = dim // 2
+    names = [f"e{mu + 1}" for mu in range(dim)]
+    low, high = _subset_blades(names[:half]), _subset_blades(names[half:])
+    low_bits = (1 << half) - 1
     pieces = []
-    for mask in sorted(mv.terms, key=lambda m: (m.bit_count(), m)):
-        sign, body = _coeff_pieces(mv.terms[mask])
-        blade = "^".join(f"e{mu + 1}" for mu in range(mv.context.dim) if mask >> mu & 1)
-        if blade:
-            body = f"{body}*{blade}"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    # sorted by mask, then stably by grade: (grade, mask) order
+    for mask in sorted(sorted(terms), key=int.bit_count):
+        sign, body = _coeff_pieces(terms[mask])
+        lo, hi = low[mask & low_bits], high[mask >> half]
+        if lo or hi:
+            body = f"{body}*{lo}^{hi}" if lo and hi else f"{body}*{lo or hi}"
+        pieces.append(f"{sign} {body}")
+    # the first term carries its sign without a space, and only when negative
+    first = pieces[0]
+    pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
+    return " ".join(pieces)
 
 
 _PREC = {"add": 1, "sub": 1, "neg": 2, "mul": 3, "wedge": 4, "scalar": 5, "gen": 5}
@@ -388,8 +455,13 @@ def read_curvature_file(path):
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CurvatureFormatError("metadata must be an object")
-    if "volume" in metadata and not isinstance(metadata["volume"], (int, float)):
-        raise CurvatureFormatError("metadata.volume must be a number")
+    if "volume" in metadata:
+        volume = metadata["volume"]
+        if not isinstance(volume, (int, float)) or isinstance(volume, bool):
+            raise CurvatureFormatError("metadata.volume must be a number")
+        # NaN fails the comparison, and so does an int past the float range
+        if not abs(volume) <= sys.float_info.max:
+            raise CurvatureFormatError("metadata.volume must be finite")
     if "name" in metadata and not isinstance(metadata["name"], str):
         raise CurvatureFormatError("metadata.name must be a string")
     riemann = _check_matrix(doc, "riemann", 2 * n)
@@ -402,31 +474,43 @@ def load_curvature(cf):
 
     Returns (riemann, twist), either of which may be None.  Every failure
     names the offending matrix cell; expression errors also carry the byte
-    span inside the cell's string.
+    span inside the cell's string.  Each cell is evaluated and checked on its
+    term dict and becomes one MultiVector; the zero cells share one.
     """
-    ctx = AlgebraContext(2 * cf.n)
+    dim = 2 * cf.n
+    ctx = AlgebraContext(dim)
+    zero = MultiVector._trusted(ctx, {}, EXTERIOR)
 
     def build(rows, kind, key):
         cells = []
         for i, row in enumerate(rows):
             out_row = []
             for j, cell in enumerate(row):
-                try:
-                    if isinstance(cell, str):
-                        mv = eval_expr(parse(tokenize(cell, ctx.dim)), ctx)
-                    else:
-                        mv = ctx.scalar(complex(cell))
-                except DslError as exc:
-                    raise DslError(f"{key}[{i}][{j}]: {exc.reason}",
-                                   exc.start, exc.end) from exc
-                if any(g != 2 for g in mv.grades()):
+                if isinstance(cell, str):
+                    try:
+                        terms = _eval_terms(parse(_lex(cell, dim)), dim)
+                    except DslError as exc:
+                        raise DslError(f"{key}[{i}][{j}]: {exc.reason}",
+                                       exc.start, exc.end) from exc
+                elif cell == 0:
+                    out_row.append(zero)
+                    continue
+                else:
+                    # a nonzero number is a scalar, refused as one below
+                    terms = {0: cell}
+                if any(m.bit_count() != 2 for m in terms):
+                    grades = sorted({m.bit_count() for m in terms})
                     raise CurvatureFormatError(
-                        f"{key}[{i}][{j}]: entry is not a 2-form (grades {mv.grades()})")
-                out_row.append(mv)
+                        f"{key}[{i}][{j}]: entry is not a 2-form (grades {grades})")
+                if not all(map(cmath.isfinite, terms.values())):
+                    raise CurvatureFormatError(f"{key}[{i}][{j}]: coefficient is not finite")
+                out_row.append(MultiVector._trusted(ctx, terms, EXTERIOR) if terms else zero)
             cells.append(out_row)
         try:
-            return FormMatrix(cells, kind)
-        except ValueError as exc:
+            return FormMatrix._of_two_forms(cells, kind)
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: abs of a coefficient whose parts are finite but
+            # whose magnitude is past the float range
             raise CurvatureFormatError(f"{key}: {exc}") from exc
 
     riemann = build(cf.riemann, RIEMANN, "riemann") if cf.riemann is not None else None

@@ -338,7 +338,7 @@ def test_products_equal_pair_loop(dim, product, loop, flavor, monkeypatch):
     ctx = AlgebraContext(dim)
     dense = min(ctx.top_mask + 1, 256)  # every mask up to dim 8
     pairs = []
-    for na, nb in ((dense, dense), (40, 30), (1, 60), (60, 1), (3, 3)):
+    for na, nb in ((dense, dense), (40, 30), (1, 60), (60, 1), (3, 3), (1, 1)):
         na, nb = min(na, dense), min(nb, dense)
         for integer in (False, True):
             pairs.append((_element(ctx, rng, flavor, na, integer),
@@ -346,6 +346,10 @@ def test_products_equal_pair_loop(dim, product, loop, flavor, monkeypatch):
     zero = MultiVector(ctx, {}, flavor)
     a = _element(ctx, rng, flavor, min(dense, 20))
     zeros = ((zero, a), (a, zero), (zero, zero))
+    # one pair of odd parity: -(1+0j) is added to 0j, so its -0.0 goes; one
+    # pair whose product underflows to an exact zero, which is dropped
+    pairs.append((ctx.generator(2, flavor), ctx.generator(1, flavor)))
+    pairs.append((MultiVector(ctx, {1: 1e-200}, flavor), MultiVector(ctx, {2: 1e-200}, flavor)))
     for _ in _paths(monkeypatch):
         for a, b in pairs:
             _assert_same(product(a, b), loop(a, b))
@@ -440,6 +444,39 @@ def test_product_path_cut_is_inclusive(monkeypatch):
         monkeypatch.setattr(algebra, "_LOOP_PAIRS", cut)
 
 
+@pytest.mark.filterwarnings("error")
+def test_products_refuse_non_finite_coefficients(monkeypatch):
+    # a relative prune against an infinite or NaN largest coefficient would
+    # drop every term, so each path raises instead, and without numpy's
+    # overflow warnings (an error here)
+    ctx = AlgebraContext(8)
+    nan, inf = float("nan"), float("inf")
+    for _ in _paths(monkeypatch):
+        for product, _, flavor in PRODUCTS:
+            one = MultiVector(ctx, {0b1000_0000: 1.0}, flavor)
+            cases = [(MultiVector(ctx, terms, flavor), one) for terms in (
+                {0b1: 1.0, 0b10: nan},  # a NaN after the first term hides from max
+                {0b1: nan, 0b10: 1.0},
+                {0b1: 1.0, 0b100: complex(0, inf)})]
+            cases.append((MultiVector(ctx, {0b1: nan}, flavor), one))
+            # finite operands whose product overflows, one pair and several
+            cases.append((MultiVector(ctx, {0b10: 1e200}, flavor),
+                          MultiVector(ctx, {0b1000_0000: 1e200}, flavor)))
+            cases.append((MultiVector(ctx, {0b10: 1e200, 0b100: 2.0}, flavor),
+                          MultiVector(ctx, {0b1000_0000: 1e200, 0b1: 1.0}, flavor)))
+            for a, b in cases:
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(OverflowError):
+                        product(x, y)
+    # the top-form pairing of single-grade operands, overflowing and NaN
+    ctx = AlgebraContext(4)
+    for c in (1e200, nan):
+        two = MultiVector(ctx, {0b0011: c, 0b0101: 1.0}, EXTERIOR)
+        rest = MultiVector(ctx, {0b1100: 1e200, 0b1010: 1.0}, EXTERIOR)
+        with pytest.raises(OverflowError):
+            wedge(two, rest)
+
+
 def test_hodge_sign_equals_pair_loop_sign():
     ctx = AlgebraContext(6)
     for coeff in (1.0, complex(-0.5, 2.0), -1j):
@@ -471,9 +508,10 @@ def _graded(ctx, rng, grade, n_terms, integer=False, masks=None):
 
 
 def _count_paths(monkeypatch):
-    # calls of the pair loop and of the kernel, for the products that follow
+    # calls of the pair loop (or its one-pair form) and of the kernel, for
+    # the products that follow
     calls = {"loop": 0, "kernel": 0}
-    for name, path in (("_pair_loop", "loop"), ("_pair_sums", "kernel")):
+    for name, path in (("_pair_loop", "loop"), ("_one_pair", "loop"), ("_pair_sums", "kernel")):
         def spy(*args, _fn=getattr(algebra, name), _path=path):
             calls[_path] += 1
             return _fn(*args)

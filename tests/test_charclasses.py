@@ -196,6 +196,19 @@ def test_form_matrix_validation():
         FormMatrix([[th, off * th], [off * th, 2 * th]], TWIST)
 
 
+def test_form_matrix_rules_see_the_blades_of_both_entries():
+    # a blade that only the lower entry of a pair holds breaks the rule too
+    ctx = AlgebraContext(4)
+    th, extra = ctx.blade([1, 2]), 0.5 * ctx.blade([3, 4])
+    z = ctx.scalar(0.0)
+    rows = [[z] * 4 for _ in range(4)]
+    rows[0][1], rows[1][0] = th, -th + extra
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(0,1\)"):
+        FormMatrix(rows, RIEMANN)
+    with pytest.raises(ValueError, match=r"conjugate-transpose rule at \(0,1\)"):
+        FormMatrix([[z, th], [th + extra, z]], TWIST)
+
+
 def test_block_diagonal_riemann():
     ctx = AlgebraContext(4)
     th = ctx.blade([1, 2])

@@ -327,6 +327,64 @@ def test_characteristic_deep_or_long_expressions(capsys, tmp_path):
         assert err.count("\n") == 1 and "riemann[0][1]" in err and "nested deeper" in err
 
 
+# a twist whose series has no overflow, for the volume cases
+_UNIT_TWIST = '"twist": [["e1^e2"]]'
+# 2x2 diagonal blocks of a 2-form whose square is 2e400 e1^e2^e3^e4
+_BIG_BLOCK = "1e200*e1^e2 + 1e200*e3^e4"
+# at dim 8, all 28 blades: the curvature products take the numpy kernel
+_BIG_DENSE = " + ".join(f"1e200*e{i}^e{j}" for i in range(1, 9) for j in range(i + 1, 9))
+
+
+def _blocks(dim, form):
+    rows = [[0] * dim for _ in range(dim)]
+    for k in range(0, dim, 2):
+        rows[k][k + 1], rows[k + 1][k] = form, f"-({form})"
+    return json.dumps({"n": dim // 2, "riemann": rows})
+
+
+@pytest.mark.parametrize("text,which,message", [
+    ('{"n": 1, "twist": [["1e999*e1^e2"]]}', "chern",
+     "twist[0][0]: number '1e999' is too large for a float (bytes 0..5)"),
+    ('{"n": 1, "metadata": {"volume": NaN}, %s}' % _UNIT_TWIST, "density",
+     "metadata.volume must be finite"),
+    ('{"n": 1, "metadata": {"volume": -Infinity}, %s}' % _UNIT_TWIST, "chern",
+     "metadata.volume must be finite"),
+    ('{"n": 1, "metadata": {"volume": true}, %s}' % _UNIT_TWIST, "density",
+     "metadata.volume must be a number"),
+    (_blocks(4, _BIG_BLOCK), "ahat", "the series overflows"),
+    (_blocks(8, _BIG_DENSE), "ahat", "the series overflows"),
+    ('{"n": 1, "metadata": {"volume": 1e300}, "twist": [["1e300*e1^e2"]]}', "chern",
+     "the top coefficient or its integral is not finite"),
+    # finite parts whose magnitude is past the float range
+    ('{"n": 1, "twist": [[0, "1.5e308*(1+i)*e1^e2"], ["1.5e308*(1-i)*e1^e2", 0]]}', "chern",
+     "twist: absolute value too large"),
+], ids=["literal", "volume-nan", "volume-inf", "volume-bool", "product", "product-kernel",
+     "integral", "magnitude"])
+@pytest.mark.filterwarnings("error")
+def test_characteristic_non_finite_input_exits_4(capsys, tmp_path, text, which, message):
+    # each of these printed NaN or a wrong number and exited 0; a warning,
+    # which would print more lines on stderr, is an error here
+    path = tmp_path / "curvature.json"
+    path.write_text(text)
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "characteristic", "--file", str(path), "--which", which,
+                             "--format", fmt)
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1 and err.endswith("\n") and message in err
+
+
+@pytest.mark.parametrize("name,which", [("two_blocks", "ahat"), ("two_blocks", "density"),
+                                        ("torus_flux", "chern"), ("torus_flux", "density")])
+def test_characteristic_json_is_pinned(capsys, name, which):
+    # the bytes in tests/data were written before expressions were evaluated
+    # on term dicts; this path calls no BLAS, so they hold on every host
+    pinned = Path(__file__).resolve().parent / "data" / f"characteristic_{name}_{which}.json"
+    code, out, _ = run(capsys, "characteristic", "--file", str(DEMO_DIR / f"{name}.json"),
+                       "--which", which, "--format", "json")
+    assert code == 0
+    assert out == pinned.read_text(encoding="utf-8")
+
+
 def test_genfun_table_converges_but_misses_target(capsys):
     code, out, _ = run(capsys, "genfun", "--y", "0.5", "--cutoff", "20,30")
     doc_lines = [l for l in out.splitlines() if l.strip() and l.lstrip()[0].isdigit()]

@@ -1,11 +1,15 @@
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracindex import formdsl
-from diracindex.algebra import AlgebraContext, wedge
-from diracindex.charclasses import RIEMANN, TWIST, chern_character
+import formdsl_reference as reference
+from diracindex import algebra, formdsl
+from diracindex.algebra import EXTERIOR, AlgebraContext, MultiVector
+from diracindex.charclasses import RIEMANN, TWIST, a_hat, chern_character
 from diracindex.formdsl import (CurvatureFormatError, DslError, eval_expr,
                                 format_ast, load_curvature, parse,
                                 pretty_print, read_curvature_file, tokenize)
@@ -289,17 +293,245 @@ class RandomText:
         return "i" if self.pick(3) == 0 else self.number()
 
 
-def test_random_text_print_parse_round_trip():
+def random_texts():
+    # 100 seeded expressions from the grammar at each of dims 2, 4 and 6
     rng = np.random.default_rng(20261018)
     for dim in (2, 4, 6):
-        ctx = AlgebraContext(dim)
         gen = RandomText(rng, dim)
         for _ in range(100):
-            text = gen.sum(int(rng.integers(0, 3)), scalar=False)
-            ast = parse(tokenize(text, dim))
-            again = parse(tokenize(format_ast(ast)))
-            assert strip(again) == strip(ast), text
-            assert eval_expr(again, ctx) == eval_expr(ast, ctx), text
+            yield dim, gen.sum(int(rng.integers(0, 3)), scalar=False)
+
+
+def test_random_text_print_parse_round_trip():
+    for dim, text in random_texts():
+        ctx = AlgebraContext(dim)
+        ast = parse(tokenize(text, dim))
+        again = parse(tokenize(format_ast(ast)))
+        assert strip(again) == strip(ast), text
+        assert eval_expr(again, ctx) == eval_expr(ast, ctx), text
+
+
+# -- the term-dict evaluator and the table printer against their references --
+
+
+def bits(mv):
+    # keys in dict order with the exact bits of both coefficient parts
+    return [(m, c.real.hex(), c.imag.hex(), type(c)) for m, c in mv.terms.items()]
+
+
+def assert_same(new, old):
+    assert (new.context, new.flavor) == (old.context, old.flavor)
+    assert bits(new) == bits(old)
+
+
+def outcome(fn, *args):
+    # an element's bits, or an error's type, message and span
+    try:
+        return bits(fn(*args))
+    except DslError as exc:
+        return type(exc), str(exc), exc.start, exc.end
+
+
+def test_eval_equals_reference_on_random_texts():
+    for dim, text in random_texts():
+        ctx = AlgebraContext(dim)
+        ast = parse(tokenize(text, dim))
+        assert_same(eval_expr(ast, ctx), reference.eval_expr(ast, ctx))
+
+
+EDGE_TEXTS = [
+    # an exact cancellation drops the key; its next term appends it again
+    "e1^e2 - e1^e2 + e3^e4 + e1^e2",
+    "e1 - e1 + e2 - e2 + e1 + e3 - e1 - e1",
+    # signed zeros and zero scalars, and i on either side of *
+    "-0.0*e1^e2", "0*e1^e2 + e3^e4", "-0.0", "0*i", "0.0*e1 - 0*e2", "-(0*e1) + e1",
+    "i*e1^e2", "e1^e2*i", "i*i*e1", "-i*e1 + e1*i", "e1*0 - e1", "-(e1^e2) + e1^e2*1",
+    "-(1.5 - 2*i)*e1^e3 - (1.5 - 2*i)*e1^e3*(-1)",
+    # nested parentheses and chains of unary minus
+    "((((e1 + e2))^((e3 - e4))))", "-(-(-(e1^e2)))", "- - -e1 + - -e1",
+    "-(e1 - -(e2 - -(e3 - (e4))))", "(e1 + i*e2)^(e3 - e1) - 2*(e1^e3)",
+    "(e1^e2 + e3^e4)^(e1^e2 + e3^e4)", "2*(3*(e1 + (e2 - e1)))*0.5",
+]
+
+
+def test_eval_equals_reference_on_edge_cases():
+    ctx = AlgebraContext(4)
+    for text in EDGE_TEXTS:
+        ast = parse(tokenize(text, 4))
+        assert_same(eval_expr(ast, ctx), reference.eval_expr(ast, ctx))
+    # the re-appended key goes last
+    mv = eval_expr(parse(tokenize(EDGE_TEXTS[0])), ctx)
+    assert list(mv.terms) == [0b1100, 0b0011]
+
+
+def test_eval_long_sum_equals_reference():
+    # 1,500 terms over a few blades, small integer coefficients, so that
+    # keys cancel to exactly zero and come back many times
+    rng = np.random.default_rng(61)
+    terms = []
+    for _ in range(1500):
+        i, j = sorted(rng.choice(6, 2, replace=False) + 1)
+        c = int(rng.integers(1, 4))
+        terms.append(("+", "-")[int(rng.integers(0, 2))] + f" {c}*e{i}^e{j}")
+    text = "e1^e2 " + " ".join(terms)
+    ctx = AlgebraContext(6)
+    ast = parse(tokenize(text))
+    assert_same(eval_expr(ast, ctx), reference.eval_expr(ast, ctx))
+
+
+def test_eval_wedge_of_sums_takes_kernel_and_equals_reference(monkeypatch):
+    kernel_calls = []
+    kernel = algebra._pair_sums
+
+    def spy(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(algebra, "_pair_sums", spy)
+    rng = np.random.default_rng(67)
+    ctx = AlgebraContext(12)
+
+    def random_sum(n_terms, grade):
+        parts = []
+        for _ in range(n_terms):
+            gens = sorted(rng.choice(12, grade, replace=False) + 1)
+            re, im = rng.uniform(-1, 1, 2).tolist()
+            parts.append(f"({re!r} + {im!r}*i)*" + "^".join(f"e{g}" for g in gens))
+        return " + ".join(parts)
+
+    text = f"({random_sum(20, 2)}) ^ ({random_sum(30, 3)}) - e1^e2^e3^e4^e5"
+    ast = parse(tokenize(text, 12))
+    assert 20 * 30 > algebra._LOOP_PAIRS
+    kernel_calls.clear()
+    new = eval_expr(ast, ctx)
+    assert len(kernel_calls) == 1
+    assert_same(new, reference.eval_expr(ast, ctx))
+
+
+def test_eval_errors_equal_reference():
+    ctx = AlgebraContext(4)
+    texts = ["e1*e2", "(e1 + e2)*(e3)", "e9", "2*e1*e3", "e1^e2*e3^e4", "e1 + e1*e2",
+             "e1*e2 + e99", "e99 + e1*e2", "-(e7)", "(e1 - e5)^e2", "e1 + e2^(e3*e4)"]
+    for text in texts:
+        ast = parse(tokenize(text))
+        got = outcome(eval_expr, ast, ctx)
+        assert got == outcome(reference.eval_expr, ast, ctx), text
+        assert got[0] is DslError, text
+    for ast in (("bogus", (0, 3)), ("add", ("gen", 1, (0, 2)), ("bogus", (5, 9)), (0, 9))):
+        assert outcome(eval_expr, ast, ctx) == outcome(reference.eval_expr, ast, ctx)
+
+
+def block_curvature(rng, dim):
+    """A container dict: random full 2-forms in 2x2 diagonal blocks, and a flux twist."""
+    riemann = [[0] * dim for _ in range(dim)]
+    for l in range(dim // 2):
+        parts = [f"{c!r}*e{i + 1}^e{j + 1}" for i in range(dim) for j in range(i + 1, dim)
+                 if (c := float(rng.uniform(-1, 1)))]
+        text = " + ".join(parts).replace("+ -", "- ")
+        riemann[2 * l][2 * l + 1] = text
+        riemann[2 * l + 1][2 * l] = f"-({text})"
+    flux = " + ".join(f"{float(rng.uniform(0.5, 2))!r}*e{2 * k + 1}^e{2 * k + 2}"
+                      for k in range(dim // 2))
+    return {"n": dim // 2, "metadata": {"volume": 2.5}, "riemann": riemann,
+            "twist": [[flux]]}
+
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "curvature"
+
+
+def test_load_curvature_equals_reference(tmp_path):
+    rng = np.random.default_rng(71)
+    paths = [DEMO_DIR / "two_blocks.json", DEMO_DIR / "torus_flux.json"]
+    for dim in (4, 8, 12):
+        paths.append(write_json(tmp_path, f"dim{dim}.json", block_curvature(rng, dim)))
+    for path in paths:
+        cf = read_curvature_file(path)
+        ctx = AlgebraContext(2 * cf.n)
+        for got, rows in zip(load_curvature(cf), (cf.riemann, cf.twist)):
+            if rows is None:
+                assert got is None
+                continue
+            want = reference.load_cells(rows, ctx)
+            assert len(got.entries) == len(want)
+            for got_row, want_row in zip(got.entries, want):
+                for new, old in zip(got_row, want_row, strict=True):
+                    assert_same(new, old)
+
+
+def test_load_builds_one_multivector_per_nonzero_cell(tmp_path, monkeypatch):
+    cf = read_curvature_file(write_json(tmp_path, "dim12.json",
+                                        block_curvature(np.random.default_rng(73), 12)))
+    # an element is made by the checking constructor or by _trusted
+    made = []
+    init, trusted = MultiVector.__init__, MultiVector._trusted
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        made.append(args)
+        return trusted(*args)
+
+    wedges = []
+    public_wedge = algebra.wedge
+
+    def counted_wedge(a, b):
+        wedges.append((a, b))
+        return public_wedge(a, b)
+
+    # under every name a diracindex module binds the public wedge to
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "diracindex":
+            for attr, value in list(vars(module).items()):
+                if value is public_wedge:
+                    monkeypatch.setattr(module, attr, counted_wedge)
+    monkeypatch.setattr(MultiVector, "__init__", counted_init)
+    monkeypatch.setattr(MultiVector, "_trusted", classmethod(counted_trusted))
+    riemann, twist = load_curvature(cf)
+    monkeypatch.undo()
+    nonzero = sum(not e.is_zero() for m in (riemann, twist) for row in m.entries for e in row)
+    assert nonzero == 12 + 1
+    # one element per nonzero cell, and one zero that the zero cells share
+    assert len(made) == nonzero + 1
+    assert wedges == []
+
+
+def random_element(ctx, rng, n_terms):
+    # coefficients with real, imaginary, complex, negative and signed-zero parts
+    parts = (1.0, -1.0, 0.0, -0.0, 2.5, -0.125, 1e-300, -3e20, math.pi)
+    masks = rng.choice(ctx.top_mask + 1, size=min(n_terms, ctx.top_mask + 1), replace=False)
+    terms = {}
+    for mask in masks.tolist():
+        kind = int(rng.integers(0, 4))
+        re, im = (parts[k] for k in rng.integers(0, len(parts), 2))
+        if kind == 0:
+            c = complex(re, 0.0 if rng.integers(0, 2) else -0.0)
+        elif kind == 1:
+            c = complex(0.0 if rng.integers(0, 2) else -0.0, im)
+        elif kind == 2:
+            c = complex(re, im)
+        else:
+            c = complex(*rng.uniform(-2, 2, 2))
+        terms[mask] = c
+    return MultiVector(ctx, terms, EXTERIOR)
+
+
+def test_pretty_print_equals_reference(tmp_path):
+    rng = np.random.default_rng(79)
+    for dim in range(2, 17, 2):
+        ctx = AlgebraContext(dim)
+        for n_terms in (1, 3, 40, 300):
+            for _ in range(4):
+                mv = random_element(ctx, rng, n_terms)
+                assert pretty_print(mv) == reference.pretty_print(mv)
+        assert pretty_print(ctx.scalar(0)) == reference.pretty_print(ctx.scalar(0)) == "0"
+    # a seeded dim-12 genus, 992 terms
+    doc = block_curvature(np.random.default_rng(83), 12)
+    cf = read_curvature_file(write_json(tmp_path, "dim12.json", doc))
+    genus = a_hat(load_curvature(cf)[0])
+    assert len(genus.terms) == 992
+    assert pretty_print(genus) == reference.pretty_print(genus)
 
 
 def test_format_ast_long_sum_renders_in_a_loop():
@@ -394,6 +626,34 @@ def test_load_errors_name_the_cell(tmp_path):
     with pytest.raises(CurvatureFormatError) as info:
         load_curvature(cf)
     assert "riemann" in str(info.value) and "antisymmetric" in str(info.value)
+
+
+def test_non_finite_numbers_are_refused(tmp_path):
+    # a literal past the float range, with its span; an underflow is just 0
+    with pytest.raises(DslError) as info:
+        tokenize("2*e1 + 1.5e309*e2")
+    assert (info.value.start, info.value.end) == (7, 14)
+    assert str(info.value) == "number '1.5e309' is too large for a float (bytes 7..14)"
+    assert tokenize("1e-999")[0].value == 0.0
+    # the volume: NaN, infinities, an int past the float range and booleans
+    for volume, reason in (("NaN", "finite"), ("Infinity", "finite"), ("-Infinity", "finite"),
+                           (str(10**400), "finite"), ("true", "a number"),
+                           ("false", "a number")):
+        path = tmp_path / "v.json"
+        path.write_text('{"n": 1, "metadata": {"volume": %s}, "twist": [["e1^e2"]]}' % volume)
+        with pytest.raises(CurvatureFormatError) as info:
+            read_curvature_file(path)
+        assert str(info.value) == f"metadata.volume must be {reason}"
+    # cell values that overflow: scalar products, sums and wedges
+    for cell, message in (
+            ("1e200*1e200*e1^e2", "twist[0][0]: coefficient is not finite"),
+            ("1.7e308*e1^e2 + 1.7e308*e1^e2", "twist[0][0]: coefficient is not finite"),
+            ("(1e200*e1)^(1e200*e2)",
+             "twist[0][0]: a product coefficient is not finite (bytes 0..21)")):
+        cf = read_curvature_file(write_json(tmp_path, "c.json", {"n": 1, "twist": [[cell]]}))
+        with pytest.raises(DslError) as info:
+            load_curvature(cf)
+        assert str(info.value) == message
 
 
 def test_load_bare_nonzero_number_rejected(tmp_path):
