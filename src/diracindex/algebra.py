@@ -179,28 +179,13 @@ def _top_wedge(a, b, dim):
     return {top: acc} if size > PRUNE_RELATIVE * size else {}
 
 
-def _one_pair(x, cx, y, cy, clifford):
-    # the pair loop and its prune for a single term pair, such as an
-    # expression's wedge of two generators: the sum 0j + (+-c), dropped only
-    # when exactly zero, without the loop's set-up
-    if not clifford and x & y:
-        return {}
-    c = cx * cy
-    c = 0j + (-c if (x & _parity_mask(y, clifford)).bit_count() & 1 else c)
-    size = abs(c)
-    if not size < _INF:
-        raise _not_finite()
-    return {x ^ y: c} if size > PRUNE_RELATIVE * size else {}
-
-
 def _product_terms(a, b, dim, clifford):
     """Term dict of the wedge (clifford False) or Clifford product of two term dicts.
 
     The one product of the package: ``wedge``, ``clifford_mul`` and the
     expression evaluator of ``formdsl`` all form their products here.  Up to
-    ``_LOOP_PAIRS`` term pairs the pairs are summed in a dictionary loop (a
-    single pair without the loop's set-up, ``_one_pair``); larger products
-    go through the numpy kernel.  There coefficients
+    ``_LOOP_PAIRS`` term pairs the pairs are summed in a dictionary loop;
+    larger products go through the numpy kernel.  There coefficients
     multiply in real arithmetic as CPython's complex product does (numpy's
     complex multiply can differ in the last bit), and ``np.add.at`` adds
     them up one pair at a time, in pair order.  Pruning uses ``np.hypot``,
@@ -217,10 +202,6 @@ def _product_terms(a, b, dim, clifford):
         if terms is not None:
             return terms
     if len(a) * len(b) <= _LOOP_PAIRS:
-        if len(a) == 1 == len(b):
-            (x, cx), = a.items()
-            (y, cy), = b.items()
-            return _one_pair(x, cx, y, cy, clifford)
         terms = _pair_loop(a, b, clifford)
         if terms:
             sizes = list(map(abs, terms.values()))
@@ -273,6 +254,15 @@ def _accumulate(out, terms, subtract=False):
         else:
             out.pop(m, None)
     return out
+
+
+def _scale(terms, factor):
+    """Term dict of ``terms`` times a scalar: each coefficient is
+    ``c * factor``, with ``factor`` as given (a complex times a float is not
+    always bit-equal to a complex times complex(float)), and a product that
+    is exactly zero is dropped.
+    """
+    return {m: p for m, c in terms.items() if (p := c * factor)}
 
 
 class AlgebraContext:
@@ -413,9 +403,7 @@ class MultiVector:
                                     self.flavor)
 
     def _scaled(self, factor):
-        # c * factor as given: a complex times a float is not always
-        # bit-equal to a complex times complex(float)
-        terms = {m: p for m, c in self.terms.items() if (p := c * factor)}
+        terms = _scale(self.terms, factor)
         if type(factor) not in (int, float, complex):
             # a subclass (numpy's complex128) may return its own type
             return MultiVector(self.context, terms, self.flavor)

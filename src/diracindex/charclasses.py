@@ -195,7 +195,12 @@ class FormMatrix:
     _TOL = 1e-12
 
     def __init__(self, entries, kind):
-        rows = self._square(entries, kind)
+        if kind not in (RIEMANN, TWIST):
+            raise ValueError(f"unknown curvature kind {kind!r}")
+        rows = tuple(tuple(row) for row in entries)
+        size = len(rows)
+        if size == 0 or any(len(r) != size for r in rows):
+            raise ValueError("curvature matrix must be square and nonempty")
         ctx = None
         for row in rows:
             for e in row:
@@ -207,40 +212,16 @@ class FormMatrix:
                     raise ValueError("entries from mixed algebra contexts")
                 if any(m.bit_count() != 2 for m in e.terms):
                     raise ValueError("entries must be pure 2-forms (or zero)")
-        self._validate(rows, kind)
-
-    @classmethod
-    def _of_two_forms(cls, entries, kind):
-        # entries already known to be exterior 2-forms of one context, as
-        # formdsl.load_curvature checks each cell: the kind's rules only
-        out = cls.__new__(cls)
-        out._validate(cls._square(entries, kind), kind)
-        return out
-
-    @staticmethod
-    def _square(entries, kind):
-        if kind not in (RIEMANN, TWIST):
-            raise ValueError(f"unknown curvature kind {kind!r}")
-        rows = tuple(tuple(row) for row in entries)
-        size = len(rows)
-        if size == 0 or any(len(r) != size for r in rows):
-            raise ValueError("curvature matrix must be square and nonempty")
-        return rows
-
-    def _validate(self, rows, kind):
         # the kind's rules, checked on the entries' term dicts
-        size = len(rows)
         scale = max((e.max_norm() for row in rows for e in row), default=0.0)
         tol = self._TOL * max(1.0, scale)
         if kind == RIEMANN:
-            dim = rows[0][0].context.dim
-            if size != dim:
-                raise ValueError(f"riemann matrix must be {dim}x{dim} for this context")
+            if size != ctx.dim:
+                raise ValueError(
+                    f"riemann matrix must be {ctx.dim}x{ctx.dim} for this context")
             for i in range(size):
                 for j in range(i, size):
                     a, b = rows[i][j].terms, rows[j][i].terms
-                    if not (a or b):
-                        continue
                     if any(abs(a.get(m, 0) + b.get(m, 0)) > tol for m in a.keys() | b.keys()):
                         raise ValueError(f"riemann matrix not antisymmetric at ({i},{j})")
                     if any(abs(c.imag) > tol for c in a.values()):

@@ -7,9 +7,9 @@ budget, or an output path (--out, --csv) that cannot be written, 3
 numerical ambiguity (no clean zero/nonzero split) or a Wilson operator that
 breaks chirality-hermiticity, 4 curvature file error, non-finite input
 included (a number too large for a float, a NaN, infinite or boolean
-volume, a series or integral that overflows).  Human-readable tables go to
-stdout; --format json swaps in the deterministic report rendering (timings
-stay out of JSON).
+volume, a series coefficient or integral that overflows).  Human-readable
+tables go to stdout; --format json swaps in the deterministic report
+rendering (timings stay out of JSON).
 """
 
 import argparse
@@ -169,8 +169,10 @@ def cmd_characteristic(args):
     top = series.terms.get(series.context.top_mask, 0j)
     volume = cf.metadata.get("volume")
     integral = None if volume is None else (top * volume).real
-    if not (cmath.isfinite(top) and (integral is None or math.isfinite(integral))):
-        print("characteristic: the top coefficient or its integral is not finite",
+    # a sum inside the series can overflow where no product does
+    if not (all(map(cmath.isfinite, series.terms.values()))
+            and (integral is None or math.isfinite(integral))):
+        print("characteristic: a series coefficient or the integral is not finite",
               file=sys.stderr)
         return 4
     text = pretty_print(series)

@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import AlgebraContext, EXTERIOR, MultiVector, _accumulate, _product_terms
+from .algebra import AlgebraContext, EXTERIOR, MultiVector, _accumulate, _product_terms, _scale
 from .charclasses import RIEMANN, TWIST, FormMatrix
 
 
@@ -225,10 +225,10 @@ def parse(tokens):
     """Token list to ExprAst.
 
     Tokens are read by position, (kind, value, start, end), so Tokens and
-    plain tuples parse alike.  Nodes are tuples (kind, ..., span): ("scalar", complex, span),
-    ("gen", index, span), ("neg", child, span), and ("add"|"sub"|"mul"|
-    "wedge", left, right, span).  Nesting past ``MAX_NESTING`` levels of
-    parentheses and unary minus is a DslError.
+    plain tuples parse alike.  Nodes are tuples (kind, ..., span):
+    ("scalar", complex, span), ("gen", index, span), ("neg", child, span),
+    and ("add"|"sub"|"mul"|"wedge", left, right, span).  Nesting past
+    ``MAX_NESTING`` levels of parentheses and unary minus is a DslError.
     """
     p = _Parser(tokens)
     node = p.parse_sum()
@@ -286,15 +286,15 @@ def _eval_terms(ast, dim):
 
 
 def _scaled_terms(ast, left, right):
-    # "mul": one side must be a scalar; the form's coefficients times it, as
-    # MultiVector * scalar forms them, exact zeros dropped
+    # "mul": one side must be a scalar; the form times it, as MultiVector *
+    # scalar forms it
     if left.keys() <= {0}:
         form, factor = right, left.get(0, 0j)
     elif right.keys() <= {0}:
         form, factor = left, right.get(0, 0j)
     else:
         raise DslError("'*' multiplies by scalars; combine forms with '^'", *ast[-1])
-    return {m: p for m, c in form.items() if (p := c * factor)}
+    return _scale(form, factor)
 
 
 # -- printers ------------------------------------------------------------------
@@ -507,7 +507,7 @@ def load_curvature(cf):
                 out_row.append(MultiVector._trusted(ctx, terms, EXTERIOR) if terms else zero)
             cells.append(out_row)
         try:
-            return FormMatrix._of_two_forms(cells, kind)
+            return FormMatrix(cells, kind)
         except (ValueError, OverflowError) as exc:
             # OverflowError: abs of a coefficient whose parts are finite but
             # whose magnitude is past the float range

@@ -508,10 +508,9 @@ def _graded(ctx, rng, grade, n_terms, integer=False, masks=None):
 
 
 def _count_paths(monkeypatch):
-    # calls of the pair loop (or its one-pair form) and of the kernel, for
-    # the products that follow
+    # calls of the pair loop and of the kernel, for the products that follow
     calls = {"loop": 0, "kernel": 0}
-    for name, path in (("_pair_loop", "loop"), ("_one_pair", "loop"), ("_pair_sums", "kernel")):
+    for name, path in (("_pair_loop", "loop"), ("_pair_sums", "kernel")):
         def spy(*args, _fn=getattr(algebra, name), _path=path):
             calls[_path] += 1
             return _fn(*args)

@@ -334,6 +334,9 @@ _BIG_BLOCK = "1e200*e1^e2 + 1e200*e3^e4"
 # at dim 8, all 28 blades: the curvature products take the numpy kernel
 _BIG_DENSE = " + ".join(f"1e200*e{i}^e{j}" for i in range(1, 9) for j in range(i + 1, 9))
 
+# its square's two products are finite; their sum is not
+_BIG_SUM = "4.5e154*e1^e2 + 4.5e154*e3^e4"
+
 
 def _blocks(dim, form):
     rows = [[0] * dim for _ in range(dim)]
@@ -354,12 +357,16 @@ def _blocks(dim, form):
     (_blocks(4, _BIG_BLOCK), "ahat", "the series overflows"),
     (_blocks(8, _BIG_DENSE), "ahat", "the series overflows"),
     ('{"n": 1, "metadata": {"volume": 1e300}, "twist": [["1e300*e1^e2"]]}', "chern",
-     "the top coefficient or its integral is not finite"),
+     "a series coefficient or the integral is not finite"),
+    # at dim 6 each product in the trace is finite but their sum is not, on
+    # a grade-4 coefficient below the top
+    ('{"n": 3, "twist": [["%s", 0], [0, "%s"]]}' % (_BIG_SUM, _BIG_SUM), "chern",
+     "a series coefficient or the integral is not finite"),
     # finite parts whose magnitude is past the float range
     ('{"n": 1, "twist": [[0, "1.5e308*(1+i)*e1^e2"], ["1.5e308*(1-i)*e1^e2", 0]]}', "chern",
      "twist: absolute value too large"),
 ], ids=["literal", "volume-nan", "volume-inf", "volume-bool", "product", "product-kernel",
-     "integral", "magnitude"])
+     "integral", "series-sum", "magnitude"])
 @pytest.mark.filterwarnings("error")
 def test_characteristic_non_finite_input_exits_4(capsys, tmp_path, text, which, message):
     # each of these printed NaN or a wrong number and exited 0; a warning,
