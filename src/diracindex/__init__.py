@@ -24,7 +24,6 @@ from .algebra import (
     wedge,
 )
 from .charclasses import (
-    ConvergenceWarning,
     FormMatrix,
     a_closed_form,
     a_hat,

@@ -20,8 +20,8 @@ import sys
 
 from .charclasses import a_hat, chern_character, index_density
 from .formdsl import DslError, load_curvature, pretty_print, read_curvature_file
-from .report import (DEFAULT_TAUS, canonical_json, genfun_table, round_sig,
-                     run_sphere_case, run_torus_case, run_verify_all,
+from .report import (DEFAULT_TAUS, GENFUN_TOL, canonical_json, genfun_table,
+                     round_sig, run_sphere_case, run_torus_case, run_verify_all,
                      stage_algebra, write_spectrum_csv)
 from .spectral import (AmbiguousSpectrumError, ChiralityDefectError, sphere_case_bytes,
                        torus_case_bytes)
@@ -111,35 +111,36 @@ def cmd_algebra_check(args):
     return 0 if ok else 1
 
 
-def cmd_index_torus(args):
-    need = torus_case_bytes(args.N)
-    if need > TORUS_MEMORY_BUDGET:
-        print(f"index-torus: --N {args.N} needs {need / 2**30:.1f} GiB, "
-              f"over the {TORUS_MEMORY_BUDGET / 2**30:g} GiB budget",
-              file=sys.stderr)
-        return 2
-    report, system = run_torus_case(args.N, args.q, method=args.method,
-                                    taus=args.tau, mass=args.m)
-    if args.csv:
-        write_spectrum_csv(args.csv, system)
-    _print_report(report, args.format)
-    return 0 if report.passed else 1
+def _over_budget(args, flags, need):
+    """Refuse, on one stderr line, a case whose peak bytes exceed the budget."""
+    if need <= TORUS_MEMORY_BUDGET:
+        return False
+    print(f"{args.command}: {flags} needs {need / 2**30:.1f} GiB, "
+          f"over the {TORUS_MEMORY_BUDGET / 2**30:g} GiB budget", file=sys.stderr)
+    return True
 
 
-def cmd_index_sphere(args):
-    if args.kmax < 1:
-        print("index-sphere: --kmax must be at least 1", file=sys.stderr)
-        return 2
-    need = sphere_case_bytes(args.q, args.kmax)
-    if need > TORUS_MEMORY_BUDGET:
-        print(f"index-sphere: --q {args.q} --kmax {args.kmax} needs {need / 2**30:.1f} GiB, "
-              f"over the {TORUS_MEMORY_BUDGET / 2**30:g} GiB budget", file=sys.stderr)
-        return 2
-    report, tails, system = run_sphere_case(args.q, k_max=args.kmax, taus=args.tau)
+def _finish_case(args, report, system, tails=None):
     if args.csv:
         write_spectrum_csv(args.csv, system)
     _print_report(report, args.format, tails=tails)
     return 0 if report.passed else 1
+
+
+def cmd_index_torus(args):
+    if _over_budget(args, f"--N {args.N}", torus_case_bytes(args.N)):
+        return 2
+    report, system = run_torus_case(args.N, args.q, method=args.method,
+                                    taus=args.tau, mass=args.m)
+    return _finish_case(args, report, system)
+
+
+def cmd_index_sphere(args):
+    if _over_budget(args, f"--q {args.q} --kmax {args.kmax}",
+                    sphere_case_bytes(args.q, args.kmax)):
+        return 2
+    report, tails, system = run_sphere_case(args.q, k_max=args.kmax, taus=args.tau)
+    return _finish_case(args, report, system, tails)
 
 
 def cmd_characteristic(args):
@@ -193,9 +194,6 @@ def cmd_characteristic(args):
 
 
 def cmd_genfun(args):
-    if any(y <= 0 for y in args.y):
-        print("genfun: all y values must be positive", file=sys.stderr)
-        return 2
     per_y, partition_devs, _, ok = genfun_table(args.y, tuple(sorted(args.cutoff)))
     rows = [{**row, "partition_dev": dev}
             for y_rows, dev in zip(per_y, partition_devs) for row in y_rows]
@@ -207,8 +205,8 @@ def cmd_genfun(args):
         for r in rows:
             print(f"{r['y']:>6g} {r['cutoff']:>7d} {r['value']:>18.12f} "
                   f"{r['closed_form']:>18.12f} {r['abs_diff']:>12.3e}")
-        print("PASS" if ok else "FAIL (matrix element not converged to 1e-06 "
-              "at the largest cutoff)")
+        print("PASS" if ok else f"FAIL (matrix element not converged to "
+              f"{GENFUN_TOL:g} at the largest cutoff)")
     return 0 if ok else 1
 
 

@@ -67,12 +67,13 @@ class Token(NamedTuple):
 # each match is a token with the whitespace before it; the groups, by
 # number: 1 one-character symbol, 2 generator digits, 3 number, 4 end, 5 any
 # other character.  No two of the first three can start alike, so their
-# order is free: the most frequent come first
+# order is free: the most frequent come first.  Digits are ASCII only; any
+# other decimal digit is an unknown character, after an e as well
 _TOKEN_RE = re.compile(
     r"""\s*(?:(?P<symbol>[-+*^()i])
-      | e(?P<generator>\d+)
-      | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-      | (?P<end>\Z) | (?P<unknown>.))
+      | e(?P<generator>[0-9]+)
+      | (?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
+      | (?P<end>\Z) | (?:e(?=\d))?(?P<unknown>.))
     """,
     re.VERBOSE | re.DOTALL,
 )

@@ -13,6 +13,7 @@ from diracindex.spectral import (SpectralSystem, build_torus_gauge, build_wilson
                                  heat_kernel_system, sphere_monopole_fixture)
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "curvature"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -199,9 +200,14 @@ def test_index_sphere_reports_tails(capsys):
     doc = json.loads(out)
     assert doc["analytic_index"] == 2
     assert len(doc["tail_bounds"]) == 4
-    code, _, err = run(capsys, "index-sphere", "--q", "1", "--kmax", "0")
-    assert code == 2
-    assert "kmax" in err
+    # the bytes in tests/data were written before the torus and sphere
+    # runners shared their report; this path calls no BLAS, and at q = 2
+    # every Witten value rounds to 2.0, so they hold on every host
+    assert out == (DATA_DIR / "index_sphere_q2.json").read_text(encoding="utf-8")
+    # the fixture refuses the cutoff; main maps its ValueError to exit 2
+    code, out, err = run(capsys, "index-sphere", "--q", "1", "--kmax", "0")
+    assert (code, out) == (2, "")
+    assert err == "invalid arguments: k_max must be an integer >= 1\n"
 
 
 def _assert_unwritable_output_exits_2(capsys, tmp_path, command):
@@ -307,6 +313,12 @@ def test_characteristic_file_errors_exit_4(capsys, tmp_path):
     code, _, err = run(capsys, "characteristic", "--file", str(bad))
     assert code == 4
     assert "twist[0][0]" in err
+    # digits are ASCII only: an Arabic-Indic two is an unknown character
+    bad.write_text(json.dumps({"n": 1, "twist": [["\u0662*e\u0661^e\u0662"]]}))
+    code, out, err = run(capsys, "characteristic", "--file", str(bad))
+    assert (code, out) == (4, "")
+    assert err == ("curvature input error: twist[0][0]: "
+                   "unexpected character '\u0662' (bytes 0..2)\n")
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"n": 1}))
     code, _, err = run(capsys, "characteristic", "--file", str(empty))
@@ -385,7 +397,7 @@ def test_characteristic_non_finite_input_exits_4(capsys, tmp_path, text, which, 
 def test_characteristic_json_is_pinned(capsys, name, which):
     # the bytes in tests/data were written before expressions were evaluated
     # on term dicts; this path calls no BLAS, so they hold on every host
-    pinned = Path(__file__).resolve().parent / "data" / f"characteristic_{name}_{which}.json"
+    pinned = DATA_DIR / f"characteristic_{name}_{which}.json"
     code, out, _ = run(capsys, "characteristic", "--file", str(DEMO_DIR / f"{name}.json"),
                        "--which", which, "--format", "json")
     assert code == 0
@@ -401,11 +413,31 @@ def test_genfun_table_converges_but_misses_target(capsys):
     # at y = 0.5 the cutoff-30 error is still about 2e-5: far from 1e-6
     assert code == 1
     assert "FAIL" in out
+    code, out, _ = run(capsys, "genfun", "--y", "0.1", "--cutoff", "20")
+    assert code == 1
+    assert out.endswith("\nFAIL (matrix element not converged to 1e-06 "
+                        "at the largest cutoff)\n")
 
 
 def test_genfun_rejects_nonpositive_y(capsys):
-    code, _, err = run(capsys, "genfun", "--y", "-1")
-    assert code == 2
+    # partition_sum refuses y; main maps its ValueError to exit 2
+    for y in ("-1", "0"):
+        code, out, err = run(capsys, "genfun", "--y", y)
+        assert (code, out) == (2, "")
+        assert err == "invalid arguments: y must be positive\n"
+
+
+def test_genfun_large_y(capsys):
+    # the closed form stays finite where sinh overflows, so the table prints
+    code, out, err = run(capsys, "genfun", "--y", "2000")
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert [l.split()[:2] for l in lines[1:4]] == [["2000", c] for c in ("20", "40", "60")]
+    assert lines[4:] == ["PASS"]
+    # here the matrix element's eigensolve fails; LinAlgError is a ValueError
+    code, out, err = run(capsys, "genfun", "--y", "1e200")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
 
 
 def test_genfun_json_partition_cross_check(capsys):

@@ -79,7 +79,12 @@ def test_tokenize_non_ascii_whitespace_and_errors_keep_byte_spans():
             ("e1\u00a0\u00d7\u00a0e2", (4, 6), "unexpected character '\u00d7'"),
             ("e1 +\u200be2", (4, 7), "unexpected character '\\u200b'"),
             ("\u3000\u3000e99", (6, 9), "generator index 99 outside 1..4"),
-            ("e1\n\t+ \u00e9", (6, 8), "unexpected character '\u00e9'")):
+            ("e1\n\t+ \u00e9", (6, 8), "unexpected character '\u00e9'"),
+            # digits are ASCII only; a non-ASCII digit is reported itself,
+            # also after an e or a decimal point
+            ("\u0662*e\u0661^e\u0662", (0, 2), "unexpected character '\u0662'"),
+            ("e1^e\u0662", (4, 6), "unexpected character '\u0662'"),
+            ("2.\u0665*e1", (2, 4), "unexpected character '\u0665'")):
         with pytest.raises(DslError) as info:
             tokenize(text, dim=4)
         assert (info.value.start, info.value.end) == span

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from box_reference import _matrix_element_fast, _matrix_element_reference
-from diracindex.charclasses import (
-    ConvergenceWarning,
-    a_closed_form,
-    qho_generating_function,
-)
+from diracindex.charclasses import a_closed_form, qho_generating_function
 
 
 @lru_cache(maxsize=None)
@@ -60,15 +56,6 @@ def test_circular_route_at_least_as_close_as_box():
         for c in (20, 40, 60):
             circular = abs(qho_generating_function(y, c) - closed)
             assert circular <= abs(box_value(y, c) - closed)
-
-
-def test_probe_warning():
-    with pytest.warns(ConvergenceWarning):
-        qho_generating_function(1.0, 30, probe_tol=1e-9)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        qho_generating_function(1.0, 30, probe_tol=1.0)  # loose tolerance, no warning
 
 
 def test_validation():
