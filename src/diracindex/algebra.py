@@ -299,9 +299,7 @@ class AlgebraContext:
 
     def generator(self, mu, flavor=EXTERIOR):
         """Basis generator e_mu (or its clifford twin), mu in 1..dim."""
-        if not 1 <= mu <= self.dim:
-            raise ValueError(f"generator index {mu} outside 1..{self.dim}")
-        return MultiVector(self, {1 << (mu - 1): 1.0}, flavor)
+        return self.blade((mu,), flavor)
 
     def blade(self, indices, flavor=EXTERIOR):
         """Basis blade from strictly increasing generator indices."""
@@ -317,8 +315,7 @@ class AlgebraContext:
         return MultiVector(self, {mask: 1.0}, flavor)
 
     def blade_from_mask(self, mask, flavor=EXTERIOR):
-        if not 0 <= mask <= self.top_mask:
-            raise ValueError(f"mask {mask:#x} outside the {self.dim}-generator algebra")
+        # MultiVector refuses a mask outside the algebra
         return MultiVector(self, {mask: 1.0}, flavor)
 
 
@@ -376,24 +373,16 @@ class MultiVector:
 
     # -- linear structure (never pruned) -------------------------------
 
-    def _require_same(self, other):
-        if not isinstance(other, MultiVector):
-            raise TypeError("expected a MultiVector")
-        if other.context != self.context:
-            raise ValueError("mixed algebra contexts")
-        if other.flavor != self.flavor:
-            raise ValueError(f"mixed flavors ({self.flavor} vs {other.flavor})")
-
     # the results below are built with _trusted: the masks are the
     # operands' and every value is a complex, so only exact zeros go
 
     def __add__(self, other):
-        self._require_same(other)
+        _common_context(self, other)
         return MultiVector._trusted(self.context, _accumulate(dict(self.terms), other.terms),
                                     self.flavor)
 
     def __sub__(self, other):
-        self._require_same(other)
+        _common_context(self, other)
         return MultiVector._trusted(self.context,
                                     _accumulate(dict(self.terms), other.terms, subtract=True),
                                     self.flavor)

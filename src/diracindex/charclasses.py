@@ -17,8 +17,8 @@ Conventions, fixed once:
   antisymmetric, the twist kind stores the Hermitian combination i*Omega,
   so for a U(1) field strength F the stored entry is F itself,
 * 2*pi enters exactly once per class, as the literal scale on the curvature,
-* a series cap is a maximum retained form degree; none, or any cap at or
-  above the dimension, keeps the full series.
+* a series cap is a maximum retained form degree, never negative; none, or
+  any cap at or above the dimension, keeps the full series.
 """
 
 import cmath
@@ -135,8 +135,16 @@ def splitting_oracle(n, cap):
 # form series
 
 
+def _valid_cap(cap):
+    # the one rule for a grade cap, the command line's --order included
+    cap = int(cap)
+    if cap < 0:
+        raise ValueError("the grade cap must be at least 0")
+    return cap
+
+
 def _cap(ctx, cap):
-    return ctx.dim if cap is None else min(int(cap), ctx.dim)
+    return ctx.dim if cap is None else min(_valid_cap(cap), ctx.dim)
 
 
 def _truncate(mv, cap):

@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 
-from .charclasses import a_hat, chern_character, index_density
+from .charclasses import _valid_cap, a_hat, chern_character, index_density
 from .formdsl import DslError, load_curvature, pretty_print, read_curvature_file
 from .report import (DEFAULT_TAUS, GENFUN_TOL, canonical_json, genfun_table,
                      round_sig, run_sphere_case, run_torus_case, run_verify_all,
@@ -63,9 +63,10 @@ def _grade_cap(text):
         cap = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    if cap < 0:
-        raise argparse.ArgumentTypeError("the grade cap must be at least 0")
-    return cap
+    try:
+        return _valid_cap(cap)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _int_list(text):

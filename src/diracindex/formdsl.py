@@ -64,22 +64,29 @@ class Token(NamedTuple):
     end: int
 
 
+# the binary operators, loosest first: symbol, token kind, node kind and
+# binding strength.  Unary minus, a minus token where an operand starts,
+# binds at _NEG, between the sums and the products; atoms bind tightest
+_OPERATORS = (("+", "plus", "add", 1), ("-", "minus", "sub", 1),
+              ("*", "star", "mul", 3), ("^", "caret", "wedge", 4))
+_NEG = 2
+
+_SYMBOLS = {**{sym: tok for sym, tok, _, _ in _OPERATORS},
+            "(": "lparen", ")": "rparen", "i": "imag_unit"}
+
 # each match is a token with the whitespace before it; the groups, by
 # number: 1 one-character symbol, 2 generator digits, 3 number, 4 end, 5 any
 # other character.  No two of the first three can start alike, so their
 # order is free: the most frequent come first.  Digits are ASCII only; any
 # other decimal digit is an unknown character, after an e as well
 _TOKEN_RE = re.compile(
-    r"""\s*(?:(?P<symbol>[-+*^()i])
+    rf"""\s*(?:(?P<symbol>[{re.escape(''.join(_SYMBOLS))}])
       | e(?P<generator>[0-9]+)
       | (?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
       | (?P<end>\Z) | (?:e(?=\d))?(?P<unknown>.))
     """,
     re.VERBOSE | re.DOTALL,
 )
-
-_SYMBOLS = {"+": "plus", "-": "minus", "*": "star", "^": "caret",
-            "(": "lparen", ")": "rparen", "i": "imag_unit"}
 
 
 def tokenize(text, dim=None):
@@ -129,18 +136,18 @@ def _lex(text, dim):
 
 # -- parser -------------------------------------------------------------------
 
-_BINARY = {"add": "+", "sub": "-", "mul": "*", "wedge": "^"}
+_BINARY = {node: sym for sym, _, node, _ in _OPERATORS}
+
+# token kind -> (node kind, binding strength) of a binary operator
+_INFIX = {tok: (node, strength) for _, tok, node, strength in _OPERATORS}
 
 # deepest nesting of parentheses and unary minus the parser accepts; each
-# level costs the recursive descent a few Python frames
+# level costs the parser a few Python frames
 MAX_NESTING = 100
 
 
-_SUM_OPS = {"plus": "add", "minus": "sub"}
-
-
 class _Parser:
-    # the loops read self.tokens[self.pos] in place of method calls
+    # every step reads self.tokens[self.pos] in place of method calls
 
     def __init__(self, tokens):
         self.tokens = list(tokens)
@@ -154,48 +161,27 @@ class _Parser:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels "
                       "of parentheses and unary minus")
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def fail(self, reason):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         raise DslError(reason, tok[2], tok[3])
 
-    def parse_sum(self):
+    def parse_expr(self, floor):
+        # one operand, then every operator binding at least as strongly as
+        # floor, each with a right operand that binds more strongly still
         tokens = self.tokens
-        node = self.parse_unary()
-        while (kind := _SUM_OPS.get(tokens[self.pos][0])) is not None:
+        op = tokens[self.pos]
+        if floor <= _NEG and op[0] == "minus":
+            self.nest()
             self.pos += 1
-            rhs = self.parse_unary()
-            node = (kind, node, rhs, (node[-1][0], rhs[-1][1]))
-        return node
-
-    def parse_unary(self):
-        op = self.tokens[self.pos]
-        if op[0] != "minus":
-            return self.parse_product()
-        self.nest()
-        self.pos += 1
-        child = self.parse_unary()
-        self.depth -= 1
-        return ("neg", child, (op[2], child[-1][1]))
-
-    def parse_product(self):
-        tokens = self.tokens
-        node = self.parse_wedge()
-        while tokens[self.pos][0] == "star":
+            child = self.parse_expr(_NEG)
+            self.depth -= 1
+            node = ("neg", child, (op[2], child[-1][1]))
+        else:
+            node = self.parse_atom()
+        while (infix := _INFIX.get(tokens[self.pos][0])) is not None and infix[1] >= floor:
             self.pos += 1
-            rhs = self.parse_wedge()
-            node = ("mul", node, rhs, (node[-1][0], rhs[-1][1]))
-        return node
-
-    def parse_wedge(self):
-        tokens = self.tokens
-        node = self.parse_atom()
-        while tokens[self.pos][0] == "caret":
-            self.pos += 1
-            rhs = self.parse_atom()
-            node = ("wedge", node, rhs, (node[-1][0], rhs[-1][1]))
+            rhs = self.parse_expr(infix[1] + 1)
+            node = (infix[0], node, rhs, (node[-1][0], rhs[-1][1]))
         return node
 
     def parse_atom(self):
@@ -212,8 +198,8 @@ class _Parser:
         if kind == "lparen":
             self.nest()
             self.pos += 1
-            node = self.parse_sum()
-            rp = self.peek()
+            node = self.parse_expr(1)
+            rp = self.tokens[self.pos]
             if rp[0] != "rparen":
                 self.fail("unbalanced parenthesis")
             self.pos += 1
@@ -232,9 +218,10 @@ def parse(tokens):
     ``MAX_NESTING`` levels of parentheses and unary minus is a DslError.
     """
     p = _Parser(tokens)
-    node = p.parse_sum()
-    if p.peek()[0] != "end":
-        p.fail(f"unexpected {p.peek()[0]} after a complete expression")
+    node = p.parse_expr(1)
+    kind = p.tokens[p.pos][0]
+    if kind != "end":
+        p.fail(f"unexpected {kind} after a complete expression")
     return node
 
 
@@ -354,7 +341,8 @@ def pretty_print(mv):
     return " ".join(pieces)
 
 
-_PREC = {"add": 1, "sub": 1, "neg": 2, "mul": 3, "wedge": 4, "scalar": 5, "gen": 5}
+_PREC = {**{node: strength for _, _, node, strength in _OPERATORS},
+         "neg": _NEG, "scalar": 5, "gen": 5}
 
 
 def format_ast(node):
@@ -379,7 +367,8 @@ def format_ast(node):
         if _PREC[right[0]] <= _PREC[kind]:
             rs = f"({rs})"
         op = _BINARY[kind]
-        text = f"{text} {op} {rs}" if kind in ("add", "sub") else f"{text}{op}{rs}"
+        # operators looser than unary minus, the sums, take spaces around them
+        text = f"{text} {op} {rs}" if _PREC[kind] < _NEG else f"{text}{op}{rs}"
     return text
 
 

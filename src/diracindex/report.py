@@ -269,8 +269,9 @@ def stage_algebra():
     for n in (1, 2, 3, 4):
         ctx = AlgebraContext(2 * n)
         gens = [ctx.generator(mu, CLIFFORD) for mu in range(1, ctx.dim + 1)]
+        # {g_mu, g_nu} is symmetric in mu and nu: each unordered pair once
         for mu in range(ctx.dim):
-            for nu in range(ctx.dim):
+            for nu in range(mu, ctx.dim):
                 got = clifford_mul(gens[mu], gens[nu]) + clifford_mul(gens[nu], gens[mu])
                 want = ctx.scalar(-2.0 if mu == nu else 0.0, CLIFFORD)
                 anti_dev = max(anti_dev, (got - want).max_norm())

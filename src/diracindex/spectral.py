@@ -168,6 +168,13 @@ def pair_check(system):
 # monopole fixture
 
 
+def _check_sphere_args(q, k_max):
+    if not isinstance(q, int):
+        raise ValueError("q must be an integer")
+    if not isinstance(k_max, int) or k_max < 1:
+        raise ValueError("k_max must be an integer >= 1")
+
+
 def sphere_monopole_fixture(q, k_max):
     """Exactly paired monopole spectrum on the round sphere.
 
@@ -176,10 +183,7 @@ def sphere_monopole_fixture(q, k_max):
     so every nonzero level is exactly balanced.  At q = 0 this reduces to the
     round-sphere spectrum (multiplicity 2k per sector, no zero modes).
     """
-    if not isinstance(q, int):
-        raise ValueError("q must be an integer")
-    if not isinstance(k_max, int) or k_max < 1:
-        raise ValueError("k_max must be an integer >= 1")
+    _check_sphere_args(q, k_max)
     # the zero modes, then each level's + sector followed by its - sector
     k = np.repeat(np.arange(1, k_max + 1), 2)
     mult = 2 * k + abs(q)
@@ -195,8 +199,9 @@ def sphere_case_bytes(q, k_max):
     The fixture keeps its eigenvalues and chiralities (16 bytes a mode), and
     pair_check sorts copies of both on top (42); tracemalloc reads 58.0 a
     mode, and the rounding up covers the per-level arrays.  The fixture has
-    |q| + 2 k_max (k_max + 1 + |q|) modes.
+    |q| + 2 k_max (k_max + 1 + |q|) modes; it refuses what the fixture does.
     """
+    _check_sphere_args(q, k_max)
     return 60 * (abs(q) + 2 * k_max * (k_max + 1 + abs(q)))
 
 
@@ -239,6 +244,11 @@ class LatticeGaugeField:
         return self.links.shape[1]
 
 
+def _check_lattice_size(size):
+    if not isinstance(size, int) or size < 4:
+        raise ValueError("lattice size must be an integer >= 4")
+
+
 def build_torus_gauge(size, q):
     """Constant-flux background: every plaquette carries exactly 2 pi q / N^2.
 
@@ -247,8 +257,7 @@ def build_torus_gauge(size, q):
     filling bound |q| < N^2/2 keeps every plaquette angle on the principal
     branch, so the measured flux is exact.
     """
-    if not isinstance(size, int) or size < 4:
-        raise ValueError("lattice size must be an integer >= 4")
+    _check_lattice_size(size)
     if not isinstance(q, int):
         raise ValueError("flux quantum must be an integer")
     if abs(q) >= size * size / 2:
@@ -646,8 +655,9 @@ def torus_case_bytes(size):
     slack, take up to 16 kB a site.  The model is read from the ru_maxrss
     growth of a child process, which also sees LAPACK's own allocations: it
     fits 10.0 N^4 + 7300 N^2 for N from 64 to 80, and reads 0.57 to 0.89 of
-    the model for N from 16 to 97.
+    the model for N from 16 to 97.  It refuses the sizes the builder does.
     """
+    _check_lattice_size(size)
     return 10 * (size**2 + 2) ** 2 + 16384 * size**2
 
 

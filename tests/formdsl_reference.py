@@ -1,16 +1,113 @@
-"""MultiVector-operation reference routes for the expression evaluator and printer.
+"""Reference routes for the expression parser, evaluator and printer.
 
-The package evaluates expressions on plain term dicts and prints with a
-generator-name table.  These routes are the ones it replaced: every node
-becomes a MultiVector and combines through the public ``+``, ``-``, unary
-minus, scalar ``*`` and ``wedge``, and the printer formats each blade
-generator by generator.  The package is tested to equal them bit for bit,
-key order included, and string for string.
+The package parses with one precedence-climbing loop over an operator
+table, evaluates expressions on plain term dicts and prints with a
+generator-name table.  These routes are the ones it replaced: a recursive
+descent with one method per precedence level; every node becomes a
+MultiVector and combines through the public ``+``, ``-``, unary minus,
+scalar ``*`` and ``wedge``; and the printer formats each blade generator by
+generator.  The package is tested to equal them tree for tree, spans and
+errors included, bit for bit, key order included, and string for string.
 """
 
 from diracindex.algebra import EXTERIOR, wedge
 from diracindex.charclasses import FormMatrix
-from diracindex.formdsl import _BINARY, DslError, parse, tokenize
+from diracindex.formdsl import _BINARY, MAX_NESTING, DslError, tokenize
+
+
+_SUM_OPS = {"plus": "add", "minus": "sub"}
+
+
+class _Parser:
+    """Recursive descent: sum, unary minus, product, wedge, atom."""
+
+    def __init__(self, tokens):
+        self.tokens = list(tokens)
+        self.pos = 0
+        self.depth = 0
+
+    def nest(self):
+        # called on an opening parenthesis or unary minus, before consuming it
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels "
+                      "of parentheses and unary minus")
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def fail(self, reason):
+        tok = self.peek()
+        raise DslError(reason, tok[2], tok[3])
+
+    def parse_sum(self):
+        tokens = self.tokens
+        node = self.parse_unary()
+        while (kind := _SUM_OPS.get(tokens[self.pos][0])) is not None:
+            self.pos += 1
+            rhs = self.parse_unary()
+            node = (kind, node, rhs, (node[-1][0], rhs[-1][1]))
+        return node
+
+    def parse_unary(self):
+        op = self.tokens[self.pos]
+        if op[0] != "minus":
+            return self.parse_product()
+        self.nest()
+        self.pos += 1
+        child = self.parse_unary()
+        self.depth -= 1
+        return ("neg", child, (op[2], child[-1][1]))
+
+    def parse_product(self):
+        tokens = self.tokens
+        node = self.parse_wedge()
+        while tokens[self.pos][0] == "star":
+            self.pos += 1
+            rhs = self.parse_wedge()
+            node = ("mul", node, rhs, (node[-1][0], rhs[-1][1]))
+        return node
+
+    def parse_wedge(self):
+        tokens = self.tokens
+        node = self.parse_atom()
+        while tokens[self.pos][0] == "caret":
+            self.pos += 1
+            rhs = self.parse_atom()
+            node = ("wedge", node, rhs, (node[-1][0], rhs[-1][1]))
+        return node
+
+    def parse_atom(self):
+        kind, value, start, end = self.tokens[self.pos]
+        if kind == "number":
+            self.pos += 1
+            return ("scalar", complex(value), (start, end))
+        if kind == "generator":
+            self.pos += 1
+            return ("gen", value, (start, end))
+        if kind == "imag_unit":
+            self.pos += 1
+            return ("scalar", 1j, (start, end))
+        if kind == "lparen":
+            self.nest()
+            self.pos += 1
+            node = self.parse_sum()
+            rp = self.peek()
+            if rp[0] != "rparen":
+                self.fail("unbalanced parenthesis")
+            self.pos += 1
+            self.depth -= 1
+            return node[:-1] + ((start, rp[3]),)
+        self.fail(f"expected a number, i, a generator, or '(', found {kind}")
+
+
+def parse(tokens):
+    """Token list to ExprAst by recursive descent, one method a level."""
+    p = _Parser(tokens)
+    node = p.parse_sum()
+    if p.peek()[0] != "end":
+        p.fail(f"unexpected {p.peek()[0]} after a complete expression")
+    return node
 
 
 def eval_expr(ast, ctx):

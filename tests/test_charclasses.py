@@ -166,6 +166,21 @@ def test_truncate_keeps_the_element_at_full_cap():
     assert mv.grades() == [0, 2, 4]
 
 
+def test_negative_grade_cap_is_refused():
+    # a cap below 0 is an error, not the zero element
+    riemann, _ = load_curvature(read_curvature_file(DEMO_DIR / "two_blocks.json"))
+    _, twist = load_curvature(read_curvature_file(DEMO_DIR / "torus_flux.json"))
+    calls = (lambda: a_hat(riemann, cap=-1),
+             lambda: chern_character(twist, cap=-1),
+             lambda: index_density(riemann, None, cap=-1),
+             lambda: series_exp(riemann.context.scalar(1.0) + riemann.context.blade([1, 2]),
+                                cap=-1))
+    for call in calls:
+        with pytest.raises(ValueError, match="^the grade cap must be at least 0$"):
+            call()
+    assert a_hat(riemann, cap=0) == riemann.context.scalar(1.0)
+
+
 # -- curvature matrices ------------------------------------------------------
 
 def test_form_matrix_validation():

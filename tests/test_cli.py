@@ -151,6 +151,17 @@ def test_index_sphere_refuses_oversized_fixture(capsys, monkeypatch):
     assert sphere_case_bytes(0, 2990) <= cli.TORUS_MEMORY_BUDGET < sphere_case_bytes(0, 2991)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("index-sphere", "--q", "0", "--kmax", "-1000000000"),
+     "invalid arguments: k_max must be an integer >= 1\n"),
+    (("index-torus", "--N", "-1000", "--q", "0"),
+     "invalid arguments: lattice size must be an integer >= 4\n")])
+def test_invalid_case_sizes_get_the_builders_errors(capsys, argv, message):
+    # the size model refuses what the builder refuses, before any budget
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 OUT_OF_DOMAIN = {
     "--tau": ("index-torus", "--q", "1", "--tau", "1,inf", "--format", "json"),
     "--m": ("index-torus", "--q", "1", "--m", "nan"),

@@ -426,6 +426,70 @@ def test_eval_errors_equal_reference():
         assert outcome(eval_expr, ast, ctx) == outcome(reference.eval_expr, ast, ctx)
 
 
+# -- the precedence-climbing parser against the recursive descent it replaced --
+
+MUTATION_CHARS = "+-*^()ie1234.5 "
+
+
+def parse_outcome(parse_fn, tokens):
+    # the tree with every span, or the error's type, message and span
+    try:
+        return parse_fn(tokens)
+    except DslError as exc:
+        return type(exc), str(exc), exc.start, exc.end
+
+
+def parser_texts():
+    # seeded texts from the grammar, each followed by ten mutants with one
+    # character replaced, inserted or deleted, then random symbol strings
+    rng = np.random.default_rng(20261019)
+    pick = lambda n: int(rng.integers(0, n))  # noqa: E731
+    for dim in (2, 4, 6):
+        gen = RandomText(rng, dim)
+        for _ in range(100):
+            text = gen.sum(pick(3), scalar=bool(pick(2)))
+            yield text
+            for _ in range(10):
+                k, ch = pick(len(text) + 1), MUTATION_CHARS[pick(len(MUTATION_CHARS))]
+                yield (text[:k] + ch + text[k + 1:], text[:k] + ch + text[k:],
+                       text[:k] + text[k + 1:])[pick(3)]
+    for _ in range(2000):
+        yield "".join(MUTATION_CHARS[pick(len(MUTATION_CHARS))] for _ in range(1 + pick(16)))
+
+
+def test_parser_equals_recursive_descent_reference():
+    parsed = failed = 0
+    for text in parser_texts():
+        try:
+            tokens = tokenize(text)
+        except DslError:
+            continue
+        got = parse_outcome(parse, tokens)
+        assert got == parse_outcome(reference.parse, tokens), text
+        if got[0] is DslError:
+            failed += 1
+        else:
+            parsed += 1
+    # both outcomes are covered, thousands of texts in all
+    assert parsed > 1000 and failed > 1000 and parsed + failed > 3500
+
+
+@pytest.mark.parametrize("prefix, opener, closer", [
+    ("e1^", "(", ")"), ("2*", "(", ")"), ("e1 + ", "(", ")"),
+    ("e1 + ", "-", ""), ("e1 - ", "-(", ")")])
+def test_nesting_limit_inside_right_operands(prefix, opener, closer):
+    depth = formdsl.MAX_NESTING
+    levels = depth // len(opener)
+    ok = tokenize(prefix + opener * levels + "e2" + closer * levels)
+    assert parse(ok) == reference.parse(ok)
+    deep = tokenize(prefix + opener * (levels + 1) + "e2" + closer * (levels + 1))
+    got = parse_outcome(parse, deep)
+    assert got == parse_outcome(reference.parse, deep)
+    # the span is the first opener past the limit
+    assert got[0] is DslError and "nested deeper" in got[1]
+    assert got[2:] == (len(prefix) + depth, len(prefix) + depth + 1)
+
+
 def block_curvature(rng, dim):
     """A container dict: random full 2-forms in 2x2 diagonal blocks, and a flux twist."""
     riemann = [[0] * dim for _ in range(dim)]
