@@ -301,8 +301,8 @@ class AlgebraContext:
         """Basis generator e_mu (or its clifford twin), mu in 1..dim."""
         return self.blade((mu,), flavor)
 
-    def blade(self, indices, flavor=EXTERIOR):
-        """Basis blade from strictly increasing generator indices."""
+    def blade_mask(self, indices):
+        """Mask of strictly increasing generator indices, each in 1..dim."""
         mask = 0
         prev = 0
         for mu in indices:
@@ -312,7 +312,11 @@ class AlgebraContext:
                 raise ValueError("blade indices must be strictly increasing")
             mask |= 1 << (mu - 1)
             prev = mu
-        return MultiVector(self, {mask: 1.0}, flavor)
+        return mask
+
+    def blade(self, indices, flavor=EXTERIOR):
+        """Basis blade from strictly increasing generator indices."""
+        return MultiVector(self, {self.blade_mask(indices): 1.0}, flavor)
 
     def blade_from_mask(self, mask, flavor=EXTERIOR):
         # MultiVector refuses a mask outside the algebra
@@ -355,14 +359,7 @@ class MultiVector:
 
     def coefficient(self, *indices):
         """Coefficient of the blade with the given strictly increasing indices."""
-        mask = 0
-        prev = 0
-        for mu in indices:
-            if mu <= prev:
-                raise ValueError("indices must be strictly increasing")
-            mask |= 1 << (mu - 1)
-            prev = mu
-        return self.terms.get(mask, 0j)
+        return self.terms.get(self.context.blade_mask(indices), 0j)
 
     def max_norm(self):
         """Largest coefficient magnitude (0.0 for the zero element)."""

@@ -1,8 +1,10 @@
 """Verification case runners and deterministic report rendering.
 
 Every float that reaches a JSON document goes through a 12-significant-digit
-round, dictionaries keep fixed insertion order, and all randomness is seeded
-with module constants, so identical inputs produce byte-identical reports.
+round (verify-all's torus plateau_dev first goes to an absolute 1e-12, so
+the document does not depend on the BLAS kernel's roundoff), dictionaries
+keep fixed insertion order, and all randomness is seeded with module
+constants, so identical inputs produce byte-identical reports.
 Timings are measured and printed for humans but never serialized.
 """
 
@@ -11,6 +13,7 @@ import functools
 import io
 import json
 import math
+import random
 import time
 from itertools import combinations
 
@@ -38,12 +41,18 @@ _CSV_ROWS = 256
 DEFAULT_TAUS = (0.5, 1.0, 2.0, 5.0)
 
 PLATEAU_TOL = 1e-6       # Witten plateau flatness across the tau grid
+# verify-all publishes each torus plateau_dev to 1e-12, a millionth of
+# PLATEAU_TOL: below that it is roundoff that depends on the BLAS kernel
+PLATEAU_DIGITS = 12
 ALGEBRA_TOL = 1e-12      # multivector identity deviations
 ORACLE_TOL = 1e-10       # float genus vs rational oracle
 GENFUN_TOL = 1e-6        # matrix element vs closed form at max cutoff
 PARTITION_TOL = 1e-12    # partition sum vs closed form
 
-_REPORT_SEED = 20260814  # fixes every sampled check in verify-all
+# fixes every sampled check in verify-all.  The stages draw from
+# random.Random, whose random() sequence for a seed Python keeps across
+# versions, and which spares a verify-all process loading numpy.random.
+_REPORT_SEED = 20260814
 
 # the grids verify-all runs its sphere and genfun stages on
 _SPHERE_KMAX = 30
@@ -242,13 +251,17 @@ def _masks_up_to(dim, cap):
 def random_multivector(ctx, rng, flavor=EXTERIOR, max_grade=None, n_terms=6):
     """Sparse random element with coefficients uniform in [-1,1]^2.
 
-    Each coefficient's real and then imaginary part are drawn in turn, so a
-    seeded rng gives the same elements as two scalar draws a term.
+    A partial Fisher-Yates shuffle driven by rng.random() picks the distinct
+    masks up to the grade cap; then each coefficient's real and imaginary
+    part are scalar rng.uniform(-1, 1) draws in turn.  Only the two methods
+    random.Random and numpy's Generator share are called.
     """
-    masks = _masks_up_to(ctx.dim, ctx.dim if max_grade is None else max_grade)
-    idx = rng.choice(len(masks), size=min(n_terms, len(masks)), replace=False)
-    parts = rng.uniform(-1, 1, (len(idx), 2)).tolist()
-    terms = {masks[k]: complex(re, im) for k, (re, im) in zip(idx, parts)}
+    pool = list(_masks_up_to(ctx.dim, ctx.dim if max_grade is None else max_grade))
+    count = min(n_terms, len(pool))
+    for i in range(count):
+        j = i + int(rng.random() * (len(pool) - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    terms = {mask: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for mask in pool[:count]}
     return MultiVector(ctx, terms, flavor)
 
 
@@ -262,7 +275,7 @@ def random_two_form(ctx, rng):
 
 
 def stage_algebra():
-    rng = np.random.default_rng(_REPORT_SEED)
+    rng = random.Random(_REPORT_SEED)
     anti_dev = 0.0
     trace_dev = 0.0
     assoc_dev = 0.0
@@ -311,7 +324,7 @@ def stage_algebra():
 
 
 def stage_characteristic():
-    rng = np.random.default_rng(_REPORT_SEED + 1)
+    rng = random.Random(_REPORT_SEED + 1)
 
     # genus vs rational splitting oracle in dimension 8, three live blocks
     ctx = AlgebraContext(8)
@@ -362,12 +375,12 @@ def stage_torus():
                 "overlap": report.analytic_index,
                 "asymmetry": asym,
                 "pair_violations": report.pair_check_violations,
-                "plateau_dev": report.plateau_deviation,
+                "plateau_dev": round(report.plateau_deviation, PLATEAU_DIGITS),
                 "pass": case_ok,
             })
 
     # twenty random gauge transformations must not move any integer
-    rng = np.random.default_rng(_REPORT_SEED + 2)
+    rng = random.Random(_REPORT_SEED + 2)
     gauge = build_torus_gauge(8, 2)
     changes = 0
     for _ in range(20):

@@ -323,8 +323,15 @@ def gauge_transform(gauge, site_phases):
 
 
 def random_gauge_transform(gauge, rng):
-    """Gauge transform by independent uniform site angles from rng."""
-    return gauge_transform(gauge, rng.uniform(0.0, TWO_PI, (gauge.size, gauge.size)))
+    """Gauge transform by independent uniform site angles from rng.
+
+    The N^2 angles are scalar rng.uniform(0, 2 pi) draws in row-major order,
+    so rng may be a random.Random or a numpy Generator; a Generator gives
+    the same angles as its vectorised uniform(0, 2 pi, (N, N)).
+    """
+    n = gauge.size
+    return gauge_transform(gauge, [[rng.uniform(0.0, TWO_PI) for _ in range(n)]
+                                   for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import functools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -23,20 +25,32 @@ from diracindex.algebra import (
 )
 
 
+def _drawn_terms(rng, masks, n_terms):
+    # the draw rule written out on rng.random() alone: a partial Fisher-Yates
+    # over positions picks the masks, then each coefficient's real and
+    # imaginary part is -1 + 2 random(), uniform(-1, 1)'s formula
+    order = list(range(len(masks)))
+    count = min(n_terms, len(order))
+    for i in range(count):
+        j = i + math.floor(rng.random() * (len(order) - i))
+        order[i], order[j] = order[j], order[i]
+    return [(masks[k], (-1.0 + 2.0 * rng.random()).hex(), (-1.0 + 2.0 * rng.random()).hex())
+            for k in order[:count]]
+
+
 def test_random_multivector_is_two_scalar_draws_a_term():
-    # the seeded elements verify-all samples: a choice of distinct masks up
-    # to the grade cap, then each coefficient's real and imaginary part in
-    # turn from the same generator
+    # the seeded elements verify-all samples: distinct masks up to the grade
+    # cap, then each coefficient's real and imaginary part in turn, from a
+    # random.Random or a numpy Generator alike
     for dim, cap, n_terms in ((2, None, 6), (4, 2, 6), (6, None, 9), (8, 3, 12)):
         ctx = AlgebraContext(dim)
-        got_rng, want_rng = np.random.default_rng(dim), np.random.default_rng(dim)
         masks = [m for m in range(ctx.top_mask + 1) if m.bit_count() <= (cap or dim)]
-        for _ in range(20):
-            got = random_multivector(ctx, got_rng, max_grade=cap, n_terms=n_terms)
-            idx = want_rng.choice(len(masks), size=min(n_terms, len(masks)), replace=False)
-            want = {masks[k]: complex(want_rng.uniform(-1, 1), want_rng.uniform(-1, 1))
-                    for k in idx}
-            assert list(got.terms.items()) == list(want.items())
+        for make in (random.Random, np.random.default_rng):
+            got_rng, want_rng = make(dim), make(dim)
+            for _ in range(20):
+                got = random_multivector(ctx, got_rng, max_grade=cap, n_terms=n_terms)
+                assert ([(m, c.real.hex(), c.imag.hex()) for m, c in got.terms.items()]
+                        == _drawn_terms(want_rng, masks, n_terms))
 
 
 def test_context_validation():
@@ -56,6 +70,21 @@ def test_context_validation():
     other = AlgebraContext(6)
     with pytest.raises(ValueError):
         wedge(ctx.generator(1), other.generator(1))
+
+
+def test_coefficient_refuses_what_blade_refuses():
+    ctx = AlgebraContext(4)
+    v = ctx.blade((1, 2)) + ctx.blade((4,)) * 2.0
+    assert v.coefficient(1, 2) == 1 and v.coefficient(4) == 2 and v.coefficient(3) == 0
+    for indices in ((99,), (5,), (1, 7), (0,), (2, 1), (2, 2)):
+        with pytest.raises(ValueError) as want:
+            ctx.blade(indices)
+        with pytest.raises(ValueError) as got:
+            v.coefficient(*indices)
+        assert str(got.value) == str(want.value)
+    assert str(want.value) == "blade indices must be strictly increasing"
+    with pytest.raises(ValueError, match=r"^generator index 99 outside 1\.\.4$"):
+        v.coefficient(99)
 
 
 def test_wedge_basics():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +16,8 @@ from diracindex.report import SIGNIFICANT_DIGITS, write_spectrum_csv
 from diracindex.spectral import (SpectralSystem, build_torus_gauge, build_wilson_dirac,
                                  heat_kernel_system, sphere_monopole_fixture)
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "curvature"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos" / "curvature"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -42,6 +47,15 @@ def test_algebra_check_json_reports_defect_ratios(capsys):
     ratios = doc["phi_defect_ratios"]
     assert len(ratios) == 2
     assert all(80 <= r <= 120 for r in ratios)
+
+
+def test_algebra_check_json_is_pinned(capsys):
+    # this path calls no LAPACK, and its samples come from random.Random,
+    # whose random() sequence Python keeps across versions, so the bytes in
+    # tests/data hold on every host
+    code, out, _ = run(capsys, "algebra-check", "--format", "json")
+    assert code == 0
+    assert out == (DATA_DIR / "algebra_check.json").read_text(encoding="utf-8")
 
 
 def test_index_torus_json(capsys):
@@ -475,3 +489,65 @@ def test_verify_all_byte_stable_and_honest(capsys, tmp_path):
         assert doc[name]["pass"] is True
     # the exit code is 0 exactly when every category, genfun included, passes
     assert code1 == (0 if doc["genfun"]["pass"] else 1)
+
+
+def run_child(argv, **env):
+    """A fresh interpreter on this checkout's sources; env entries of None are unset."""
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       full.get("PYTHONPATH")]))
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    return subprocess.run([sys.executable, *argv], env=full, capture_output=True,
+                          text=True, timeout=300)
+
+
+_VERIFY_ALL_MODULES = """
+import sys
+from diracindex.cli import main
+code = main(["verify-all", "--out", sys.argv[1]])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_all_never_loads_numpy_random(tmp_path):
+    # the sampled checks draw from random.Random; numpy.random would add
+    # about 6 MB and 15 ms to every cold verify-all
+    plain = run_child(["-c", "import sys, numpy; print('numpy.random' in sys.modules)"])
+    assert plain.returncode == 0, plain.stderr
+    if plain.stdout.split() == ["True"]:
+        pytest.skip("this numpy loads numpy.random on a plain import numpy")
+    done = run_child(["-c", _VERIFY_ALL_MODULES, str(tmp_path / "doc.json")])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
+
+
+def _forced_kernels_unavailable():
+    """Why OPENBLAS_CORETYPE cannot be tested here, or None if it can."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"OPENBLAS_CORETYPE needs x86-64, this is {platform.machine()}"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return f"OPENBLAS_CORETYPE needs a DYNAMIC_ARCH OpenBLAS, numpy has {blas.get('name')}"
+    return None
+
+
+def test_verify_all_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # each kernel sums the torus spectra in its own order; the document
+    # publishes plateau_dev to 1e-12, so that roundoff stays out of it.
+    # Prescott needs SSE3 and Nehalem SSE4.2, which every current x86-64 has
+    reason = _forced_kernels_unavailable()
+    if reason:
+        pytest.skip(reason)
+    docs = {}
+    for kernel in (None, "Prescott", "Nehalem"):
+        out = tmp_path / f"{kernel or 'default'}.json"
+        done = run_child(["-m", "diracindex.cli", "verify-all", "--out", str(out)],
+                         OPENBLAS_CORETYPE=kernel)
+        assert done.returncode == 0, done.stderr
+        docs[kernel] = out.read_bytes()
+    assert docs["Prescott"] == docs[None]
+    assert docs["Nehalem"] == docs[None]

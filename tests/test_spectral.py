@@ -245,6 +245,18 @@ def test_gauge_transform_exactly_preserves_plaquettes():
         gauge_transform(g, 2.0 * np.ones((8, 8), dtype=complex))
 
 
+def test_random_gauge_transform_keeps_a_generators_angles():
+    # with a numpy Generator, N^2 scalar draws give the angles of the one
+    # vectorised call random_gauge_transform used to make, bit for bit
+    for size, seed in ((4, 0), (8, 5), (12, 61)):
+        g = build_torus_gauge(size, 1)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_gauge_transform(g, got_rng)
+        want = gauge_transform(g, want_rng.uniform(0, 2 * np.pi, (size, size)))
+        assert got.links.tobytes() == want.links.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+
 # -- Wilson / overlap --------------------------------------------------------
 
 def test_wilson_chirality_hermiticity_and_free_symmetry():
