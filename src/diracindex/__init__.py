@@ -41,10 +41,8 @@ from .formdsl import (
     CurvatureFile,
     CurvatureFormatError,
     DslError,
-    eval_expr,
-    format_ast,
+    evaluate,
     load_curvature,
-    parse,
     pretty_print,
     read_curvature_file,
     tokenize,

@@ -447,8 +447,10 @@ def _common_context(a, b):
 
 
 def wedge(a, b):
-    """Graded antisymmetric product.  Overlapping blades annihilate."""
+    """Graded antisymmetric product of exterior elements.  Overlapping blades annihilate."""
     _common_context(a, b)
+    if a.flavor != EXTERIOR:
+        raise TypeError("wedge needs exterior-flavored operands, map through phi_eps_inv")
     return _product(a, b, clifford=False)
 
 

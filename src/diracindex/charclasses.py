@@ -425,32 +425,23 @@ def a_closed_form(y):
         return abs(y) * math.exp(-abs(y) / 2.0)
 
 
+def _check_y(y):
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    if y <= 0:
+        raise ValueError("y must be positive")
+
+
 def partition_sum(y, m_max):
     """Truncated ladder sum y e^{-y/2} sum_{m=0}^{M} e^{-my}.
 
     Monotonically increasing in M toward a_closed_form(y); the omitted tail
     is the exact geometric remainder y e^{-y/2} e^{-(M+1)y} / (1 - e^{-y}).
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
+    _check_y(y)
     if not isinstance(m_max, int) or m_max < 0:
         raise ValueError("m_max must be a nonnegative integer")
     return float(y * math.exp(-y / 2.0) * np.exp(-y * np.arange(m_max + 1)).sum())
-
-
-def _matrix_element(y, cutoff):
-    # the L = 0 block of the exponent in circular modes: states |n, n>,
-    # n < cutoff, tridiagonal, origin amplitudes (-1)^n / sqrt(pi)
-    w2 = 0.25 * y * y
-    n = np.arange(cutoff)
-    g = np.diag(-0.5 * (1.0 + w2) * (2 * n + 1))
-    hop = -0.5 * (w2 - 1.0) * n[1:]
-    g[n[:-1], n[1:]] = hop
-    g[n[1:], n[:-1]] = hop
-    amp = np.where(n % 2 == 0, 1.0, -1.0) / math.sqrt(math.pi)
-    evals, vecs = np.linalg.eigh(g)
-    proj = vecs.T @ amp
-    return float(TWO_PI * np.sum(np.exp(evals) * proj * proj))
 
 
 def qho_generating_function(y, cutoff):
@@ -478,8 +469,19 @@ def qho_generating_function(y, cutoff):
     converges only like cutoff**-2; the tests keep it as the reference.
     """
     y = float(y)
-    if not y > 0:
-        raise ValueError("y must be positive")
+    _check_y(y)
     if not isinstance(cutoff, int) or cutoff < 20:
         raise ValueError("cutoff must be an integer >= 20")
-    return _matrix_element(y, cutoff)
+    # the L = 0 block of the exponent in circular modes: states |n, n>,
+    # n < cutoff, tridiagonal, origin amplitudes (-1)^n / sqrt(pi)
+    w2 = 0.25 * y * y
+    n = np.arange(cutoff)
+    g = np.diag(-0.5 * (1.0 + w2) * (2 * n + 1))
+    hop = -0.5 * (w2 - 1.0) * n[1:]
+    g[n[:-1], n[1:]] = hop
+    g[n[1:], n[:-1]] = hop
+    amp = np.where(n % 2 == 0, 1.0, -1.0) / math.sqrt(math.pi)
+    evals, vecs = np.linalg.eigh(g)
+    proj = vecs.T @ amp
+    return float(TWO_PI * np.sum(np.exp(evals) * proj * proj))
+

@@ -17,14 +17,17 @@ offsets refer to the UTF-8 encoding of the offending expression string.
 Numbers too large for a float, a non-finite or boolean metadata.volume, and
 non-finite cell values are failures too.
 
-Expressions evaluate on plain {mask: complex} term dicts, and a cell becomes
-one MultiVector only when it is complete.  Products go through the algebra's
-one product, ``algebra._product_terms``.  A left-associated sum is folded
-into one accumulator, with the rule of MultiVector + and -: the keys of the
-sum so far keep their places, new keys are appended in order, and a key
-whose sum is exactly zero is dropped, so a later term of that key is
-appended again.  The result equals evaluating with MultiVector operations
-bit for bit, key order included.
+``evaluate`` reads an expression with one precedence-climbing loop and
+evaluates each operation as soon as its operands are read, on plain
+{mask: complex} term dicts; no expression tree is built, and a cell becomes
+one MultiVector only when it is complete.  Products go through the
+algebra's one product, ``algebra._product_terms``.  A left-associated sum
+is folded into one accumulator, with the rule of MultiVector + and -: the
+keys of the sum so far keep their places, new keys are appended in order,
+and a key whose sum is exactly zero is dropped, so a later term of that key
+is appended again.  The result equals parsing into a tree and evaluating
+it node by node with MultiVector operations, bit for bit, key order
+included, and so does every error: its message and its span.
 """
 
 import cmath
@@ -64,7 +67,7 @@ class Token(NamedTuple):
     end: int
 
 
-# the binary operators, loosest first: symbol, token kind, node kind and
+# the binary operators, loosest first: symbol, token kind, operation and
 # binding strength.  Unary minus, a minus token where an operand starts,
 # binds at _NEG, between the sums and the products; atoms bind tightest
 _OPERATORS = (("+", "plus", "add", 1), ("-", "minus", "sub", 1),
@@ -134,12 +137,10 @@ def _lex(text, dim):
     return tokens
 
 
-# -- parser -------------------------------------------------------------------
+# -- parser and evaluator -----------------------------------------------------
 
-_BINARY = {node: sym for sym, _, node, _ in _OPERATORS}
-
-# token kind -> (node kind, binding strength) of a binary operator
-_INFIX = {tok: (node, strength) for _, tok, node, strength in _OPERATORS}
+# token kind -> (operation, binding strength) of a binary operator
+_INFIX = {tok: (op, strength) for _, tok, op, strength in _OPERATORS}
 
 # deepest nesting of parentheses and unary minus the parser accepts; each
 # level costs the parser a few Python frames
@@ -147,12 +148,16 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    # every step reads self.tokens[self.pos] in place of method calls
+    # every step reads self.tokens[self.pos] in place of method calls.  Each
+    # operand is a (term dict, span) pair, evaluated as soon as it is read.
+    # The first evaluation error is kept in self.error and raised only once
+    # the whole text has parsed, so a syntax error anywhere wins over it; the
+    # operand that failed has the terms None until an operation takes it in
 
-    def __init__(self, tokens):
-        self.tokens = list(tokens)
-        self.pos = 0
-        self.depth = 0
+    def __init__(self, tokens, dim):
+        self.tokens, self.dim = tokens, dim
+        self.pos = self.depth = 0
+        self.error = None
 
     def nest(self):
         # called on an opening parenthesis or unary minus, before consuming it
@@ -167,122 +172,98 @@ class _Parser:
 
     def parse_expr(self, floor):
         # one operand, then every operator binding at least as strongly as
-        # floor, each with a right operand that binds more strongly still
+        # floor, each with a right operand that binds more strongly still.
+        # A sum adds into its left operand's dict, a fresh one, in place
         tokens = self.tokens
         op = tokens[self.pos]
         if floor <= _NEG and op[0] == "minus":
             self.nest()
             self.pos += 1
-            child = self.parse_expr(_NEG)
+            terms, (_, end) = self.parse_expr(_NEG)
             self.depth -= 1
-            node = ("neg", child, (op[2], child[-1][1]))
+            terms = {m: -c for m, c in terms.items()} if terms is not None else {}
+            span = (op[2], end)
         else:
-            node = self.parse_atom()
+            terms, span = self.parse_atom()
         while (infix := _INFIX.get(tokens[self.pos][0])) is not None and infix[1] >= floor:
             self.pos += 1
-            rhs = self.parse_expr(infix[1] + 1)
-            node = (infix[0], node, rhs, (node[-1][0], rhs[-1][1]))
-        return node
+            right, (_, end) = self.parse_expr(infix[1] + 1)
+            span = (span[0], end)
+            terms = self.combine(infix[0], terms, right, span)
+        return terms, span
+
+    def combine(self, kind, left, right, span):
+        # the terms of one binary operation, or None when it fails
+        if self.error is not None:
+            return {}
+        if kind == "add":
+            return _accumulate(left, right)
+        if kind == "sub":
+            return _accumulate(left, right, subtract=True)
+        if kind == "wedge":
+            try:
+                return _product_terms(left, right, self.dim, False)
+            except OverflowError as exc:
+                reason = str(exc)
+        # "mul": one side must be a scalar; the form times it, as
+        # MultiVector * scalar forms it
+        elif left.keys() <= {0}:
+            return _scale(right, left.get(0, 0j))
+        elif right.keys() <= {0}:
+            return _scale(left, right.get(0, 0j))
+        else:
+            reason = "'*' multiplies by scalars; combine forms with '^'"
+        self.error = [reason, *span]
+        return None
 
     def parse_atom(self):
         kind, value, start, end = self.tokens[self.pos]
         if kind == "number":
             self.pos += 1
-            return ("scalar", complex(value), (start, end))
+            c = complex(value)
+            return {0: c} if c else {}, (start, end)
         if kind == "generator":
+            # lexed against the dimension, so the index is in range
             self.pos += 1
-            return ("gen", value, (start, end))
+            return {1 << (value - 1): 1 + 0j}, (start, end)
         if kind == "imag_unit":
             self.pos += 1
-            return ("scalar", 1j, (start, end))
+            return {0: 1j}, (start, end)
         if kind == "lparen":
             self.nest()
             self.pos += 1
-            node = self.parse_expr(1)
+            terms, _ = self.parse_expr(1)
             rp = self.tokens[self.pos]
             if rp[0] != "rparen":
                 self.fail("unbalanced parenthesis")
             self.pos += 1
             self.depth -= 1
-            return node[:-1] + ((start, rp[3]),)
+            if terms is None:
+                # the failed operation is the one these parentheses enclose,
+                # and its span is theirs
+                self.error[1:] = start, rp[3]
+            return terms, (start, rp[3])
         self.fail(f"expected a number, i, a generator, or '(', found {kind}")
 
 
-def parse(tokens):
-    """Token list to ExprAst.
+def evaluate(text, ctx):
+    """Lex, parse and evaluate an expression into an exterior MultiVector.
 
-    Tokens are read by position, (kind, value, start, end), so Tokens and
-    plain tuples parse alike.  Nodes are tuples (kind, ..., span):
-    ("scalar", complex, span), ("gen", index, span), ("neg", child, span),
-    and ("add"|"sub"|"mul"|"wedge", left, right, span).  Nesting past
-    ``MAX_NESTING`` levels of parentheses and unary minus is a DslError.
+    Generators are range-checked against ``ctx.dim`` as the text is lexed,
+    and each operation is evaluated as soon as its operands are read: *
+    needs a scalar operand (either side), combining two forms needs ^.  A
+    chain of binary operators (a long sum, say) is read in a loop, so its
+    length costs no recursion; nesting past ``MAX_NESTING`` levels of
+    parentheses and unary minus is a DslError.
     """
-    p = _Parser(tokens)
-    node = p.parse_expr(1)
+    p = _Parser(_lex(text, ctx.dim), ctx.dim)
+    terms, _ = p.parse_expr(1)
     kind = p.tokens[p.pos][0]
     if kind != "end":
         p.fail(f"unexpected {kind} after a complete expression")
-    return node
-
-
-def eval_expr(ast, ctx):
-    """Evaluate an ExprAst into an exterior MultiVector.
-
-    * requires a scalar operand (either side); combining two forms needs ^.
-    A left-associated chain of binary nodes (a long sum, say) is folded in
-    a loop, leftmost operand first, so its length costs no recursion.
-    """
-    return MultiVector._trusted(ctx, _eval_terms(ast, ctx.dim), EXTERIOR)
-
-
-def _eval_terms(ast, dim):
-    # the term dict of an ExprAst: a fresh dict, so a sum adds into it in place
-    spine = []
-    while ast[0] in _BINARY:
-        spine.append(ast)
-        ast = ast[1]
-    kind = ast[0]
-    if kind == "gen":
-        idx = ast[1]
-        if not 1 <= idx <= dim:
-            raise DslError(f"generator index {idx} outside 1..{dim}", *ast[-1])
-        value = {1 << (idx - 1): 1 + 0j}
-    elif kind == "scalar":
-        c = complex(ast[1])
-        value = {0: c} if c != 0 else {}
-    elif kind == "neg":
-        value = _eval_terms(ast[1], dim)
-        for m, c in value.items():
-            value[m] = -c
-    else:
-        raise DslError(f"malformed ast node {kind!r}", *ast[-1])
-    for node in reversed(spine):
-        right = _eval_terms(node[2], dim)
-        kind = node[0]
-        if kind == "add":
-            _accumulate(value, right)
-        elif kind == "sub":
-            _accumulate(value, right, subtract=True)
-        elif kind == "wedge":
-            try:
-                value = _product_terms(value, right, dim, False)
-            except OverflowError as exc:
-                raise DslError(str(exc), *node[-1]) from exc
-        else:
-            value = _scaled_terms(node, value, right)
-    return value
-
-
-def _scaled_terms(ast, left, right):
-    # "mul": one side must be a scalar; the form times it, as MultiVector *
-    # scalar forms it
-    if left.keys() <= {0}:
-        form, factor = right, left.get(0, 0j)
-    elif right.keys() <= {0}:
-        form, factor = left, right.get(0, 0j)
-    else:
-        raise DslError("'*' multiplies by scalars; combine forms with '^'", *ast[-1])
-    return _scale(form, factor)
+    if p.error is not None:
+        raise DslError(*p.error)
+    return MultiVector._trusted(ctx, terms, EXTERIOR)
 
 
 # -- printers ------------------------------------------------------------------
@@ -339,55 +320,6 @@ def pretty_print(mv):
     first = pieces[0]
     pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
     return " ".join(pieces)
-
-
-_PREC = {**{node: strength for _, _, node, strength in _OPERATORS},
-         "neg": _NEG, "scalar": 5, "gen": 5}
-
-
-def format_ast(node):
-    """Render an ExprAst with the fewest parentheses that reparse identically.
-
-    Right operands at equal precedence are parenthesized, so association
-    survives the round trip.  Negative scalar literals cannot be represented
-    (they print through unary minus and reparse as neg nodes).  A
-    left-associated chain of binary nodes is rendered in a loop, leftmost
-    operand first, so its length costs no recursion.
-    """
-    spine = []
-    while node[0] in _BINARY:
-        spine.append(node)
-        node = node[1]
-    text = _format_leaf(node)
-    for parent in reversed(spine):
-        kind, left, right = parent[0], parent[1], parent[2]
-        if _PREC[left[0]] < _PREC[kind]:
-            text = f"({text})"
-        rs = format_ast(right)
-        if _PREC[right[0]] <= _PREC[kind]:
-            rs = f"({rs})"
-        op = _BINARY[kind]
-        # operators looser than unary minus, the sums, take spaces around them
-        text = f"{text} {op} {rs}" if _PREC[kind] < _NEG else f"{text}{op}{rs}"
-    return text
-
-
-def _format_leaf(node):
-    kind = node[0]
-    if kind == "scalar":
-        v = node[1]
-        if v == 1j:
-            return "i"
-        if v.imag == 0.0:
-            return repr(v.real) if v.real >= 0 else f"-{repr(-v.real)}"
-        sign, body = _coeff_pieces(v)
-        return body if sign == "+" else f"-{body}"
-    if kind == "gen":
-        return f"e{node[1]}"
-    inner = format_ast(node[1])  # neg
-    if _PREC[node[1][0]] < _PREC["neg"]:
-        inner = f"({inner})"
-    return f"-{inner}"
 
 
 # -- file container ------------------------------------------------------------
@@ -464,8 +396,8 @@ def load_curvature(cf):
 
     Returns (riemann, twist), either of which may be None.  Every failure
     names the offending matrix cell; expression errors also carry the byte
-    span inside the cell's string.  Each cell is evaluated and checked on its
-    term dict and becomes one MultiVector; the zero cells share one.
+    span inside the cell's string.  Each string cell is one ``evaluate``,
+    checked on its terms; the zero cells share one MultiVector.
     """
     dim = 2 * cf.n
     ctx = AlgebraContext(dim)
@@ -478,10 +410,11 @@ def load_curvature(cf):
             for j, cell in enumerate(row):
                 if isinstance(cell, str):
                     try:
-                        terms = _eval_terms(parse(_lex(cell, dim)), dim)
+                        mv = evaluate(cell, ctx)
                     except DslError as exc:
                         raise DslError(f"{key}[{i}][{j}]: {exc.reason}",
                                        exc.start, exc.end) from exc
+                    terms = mv.terms
                 elif cell == 0:
                     out_row.append(zero)
                     continue
@@ -494,7 +427,7 @@ def load_curvature(cf):
                         f"{key}[{i}][{j}]: entry is not a 2-form (grades {grades})")
                 if not all(map(cmath.isfinite, terms.values())):
                     raise CurvatureFormatError(f"{key}[{i}][{j}]: coefficient is not finite")
-                out_row.append(MultiVector._trusted(ctx, terms, EXTERIOR) if terms else zero)
+                out_row.append(mv if terms else zero)
             cells.append(out_row)
         try:
             return FormMatrix(cells, kind)

@@ -120,8 +120,8 @@ class PairViolation(NamedTuple):
 
 def witten_index(system, tau):
     """Chirality-weighted heat sum of e^(-tau lambda/2) at inverse temperature tau."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     weights = np.exp(-tau * 0.5 * system.eigenvalues)
     return float(np.sum(system.chiralities * weights))
 

@@ -1,21 +1,25 @@
-"""Reference routes for the expression parser, evaluator and printer.
+"""Reference routes for the expression evaluator and printer.
 
-The package parses with one precedence-climbing loop over an operator
-table, evaluates expressions on plain term dicts and prints with a
-generator-name table.  These routes are the ones it replaced: a recursive
-descent with one method per precedence level; every node becomes a
-MultiVector and combines through the public ``+``, ``-``, unary minus,
-scalar ``*`` and ``wedge``; and the printer formats each blade generator by
-generator.  The package is tested to equal them tree for tree, spans and
-errors included, bit for bit, key order included, and string for string.
+The package evaluates an expression as it parses it, with one
+precedence-climbing loop over an operator table, on plain term dicts, and
+prints with a generator-name table.  These routes are the ones it replaced:
+a recursive descent into an expression tree, one method per precedence
+level; a walk of that tree in which every node becomes a MultiVector and
+combines through the public ``+``, ``-``, unary minus, scalar ``*`` and
+``wedge``; and a printer that formats each blade generator by generator.
+The package is tested to equal parse-then-evaluate here outcome for
+outcome, bit for bit and key order included, and every error by type,
+message and span; a product that overflows is the exception, a bare
+OverflowError here.  The printers are tested to equal string for string.
 """
 
 from diracindex.algebra import EXTERIOR, wedge
 from diracindex.charclasses import FormMatrix
-from diracindex.formdsl import _BINARY, MAX_NESTING, DslError, tokenize
+from diracindex.formdsl import MAX_NESTING, DslError, tokenize
 
 
 _SUM_OPS = {"plus": "add", "minus": "sub"}
+_BINARY = {"add", "sub", "mul", "wedge"}
 
 
 class _Parser:

@@ -203,6 +203,12 @@ def test_phi_eps_flavor_discipline():
     a = ctx.generator(1)
     with pytest.raises(TypeError):
         clifford_mul(a, a)
+    # g1 g1 is -1, never the wedge's 0: neither product takes the other's flavor
+    g = ctx.generator(1, CLIFFORD)
+    assert clifford_mul(g, g) == ctx.scalar(-1.0, CLIFFORD)
+    for product in (wedge, lambda x, y: x ^ y):
+        with pytest.raises(TypeError, match="exterior-flavored"):
+            product(g, g)
     with pytest.raises(TypeError):
         phi_eps_inv(a, 0.5)
     b = phi_eps(a, 0.5)

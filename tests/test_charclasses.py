@@ -510,3 +510,7 @@ def test_partition_sum_monotone_and_validated():
         partition_sum(-1.0, 10)
     with pytest.raises(ValueError):
         partition_sum(1.0, -1)
+    # both returned nan
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="y must be finite"):
+            partition_sum(y, 5)

@@ -350,6 +350,32 @@ def test_characteristic_file_errors_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("cell, line", [
+    ("e1 + e2^(e3*e4)", "'*' multiplies by scalars; combine forms with '^' (bytes 8..15)"),
+    ("e1*e2 + (", "expected a number, i, a generator, or '(', found end (bytes 9..9)"),
+    ("e1*e2 )", "unexpected rparen after a complete expression (bytes 6..7)"),
+    ("(1e300*e1)^(1e300*e2)", "a product coefficient is not finite (bytes 0..21)"),
+    ("(" * 101 + "e1^e2" + ")" * 101, "expression nested deeper than 100 levels "
+     "of parentheses and unary minus (bytes 100..101)"),
+], ids=["paren-operation", "open-end", "stray-rparen", "product-overflow", "nested-101"])
+def test_characteristic_error_lines_are_pinned(capsys, tmp_path, cell, line):
+    # the lines a tree-building parser printed: an operation in parentheses
+    # has their span, and a syntax error wins over an evaluation error
+    path = tmp_path / "curvature.json"
+    path.write_text(json.dumps({"n": 2, "twist": [[cell]]}))
+    code, out, err = run(capsys, "characteristic", "--file", str(path))
+    assert (code, out) == (4, "")
+    assert err == f"curvature input error: twist[0][0]: {line}\n"
+
+
+def test_characteristic_error_line_matches_its_data_file(capsys):
+    # the pair CI compares byte for byte
+    code, out, err = run(capsys, "characteristic", "--file",
+                         str(DATA_DIR / "curvature_paren_wedge.json"))
+    assert (code, out) == (4, "")
+    assert err == (DATA_DIR / "characteristic_paren_wedge.stderr").read_text(encoding="utf-8")
+
+
 def test_characteristic_deep_or_long_expressions(capsys, tmp_path):
     cell = " + ".join(["0.001*e1^e2"] * 1500)
     long = tmp_path / "long.json"

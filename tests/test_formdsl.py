@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import sys
@@ -10,20 +11,48 @@ import formdsl_reference as reference
 from diracindex import algebra, formdsl
 from diracindex.algebra import EXTERIOR, AlgebraContext, MultiVector
 from diracindex.charclasses import RIEMANN, TWIST, a_hat, chern_character
-from diracindex.formdsl import (CurvatureFormatError, DslError, eval_expr,
-                                format_ast, load_curvature, parse,
-                                pretty_print, read_curvature_file, tokenize)
+from diracindex.formdsl import (CurvatureFormatError, DslError, evaluate,
+                                load_curvature, pretty_print, read_curvature_file,
+                                tokenize)
 from conftest import random_multivector
 
 
-def strip(node):
-    # drop spans so trees from different sources compare
-    kind = node[0]
-    if kind in ("scalar", "gen"):
-        return (kind, node[1])
-    if kind == "neg":
-        return (kind, strip(node[1]))
-    return (kind, strip(node[1]), strip(node[2]))
+def bits(mv):
+    # keys in dict order with the exact bits of both coefficient parts
+    return [(m, c.real.hex(), c.imag.hex(), type(c)) for m, c in mv.terms.items()]
+
+
+def assert_same(new, old):
+    assert (new.context, new.flavor) == (old.context, old.flavor)
+    assert bits(new) == bits(old)
+
+
+def reference_evaluate(text, ctx):
+    # the oracle: lexed at the context's dim, as load_curvature lexes, parsed
+    # into a tree by recursive descent, then evaluated node by node
+    return reference.eval_expr(reference.parse(tokenize(text, ctx.dim)), ctx)
+
+
+def outcome(fn, text, dim=4):
+    # an element's bits, a list, or an error's type, message and span, a tuple
+    try:
+        return bits(fn(text, AlgebraContext(dim)))
+    except DslError as exc:
+        return type(exc), str(exc), exc.start, exc.end
+
+
+def same_outcome(text, dim=4):
+    # evaluate's outcome, checked against the reference's
+    got = outcome(evaluate, text, dim)
+    assert got == outcome(reference_evaluate, text, dim), (text, dim)
+    return got
+
+
+def error_span(text, dim=4):
+    # the reason and span of the error evaluating text, checked against the reference
+    got = same_outcome(text, dim)
+    assert isinstance(got, tuple) and got[0] is DslError, text
+    return got[1].rsplit(" (bytes", 1)[0], got[2], got[3]
 
 
 def test_tokenize_basic():
@@ -92,83 +121,106 @@ def test_tokenize_non_ascii_whitespace_and_errors_keep_byte_spans():
 
 
 def test_parse_precedence():
-    ast = parse(tokenize("2*e1^e2 - e3^e4"))
-    assert strip(ast) == (
-        "sub",
-        ("mul", ("scalar", (2 + 0j)), ("wedge", ("gen", 1), ("gen", 2))),
-        ("wedge", ("gen", 3), ("gen", 4)),
-    )
+    # ^ binds tighter than *, and * tighter than binary -; a '*' between two
+    # wedges fails over both of them
+    ctx = AlgebraContext(4)
+    assert evaluate("2*e1^e2 - e3^e4", ctx).terms == {0b0011: 2 + 0j, 0b1100: -1 + 0j}
+    assert error_span("e1^e2*e3^e4")[1:] == (0, 11)
+    assert error_span("e1 - e2*e3")[1:] == (5, 10)
+    same_outcome("2*e1^e2 - e3^e4")
 
 
 def test_parse_left_associative():
-    assert strip(parse(tokenize("e1^e2^e3"))) == (
-        "wedge", ("wedge", ("gen", 1), ("gen", 2)), ("gen", 3))
-    assert strip(parse(tokenize("1 - 2 - 3"))) == (
-        "sub", ("sub", ("scalar", 1 + 0j), ("scalar", 2 + 0j)), ("scalar", 3 + 0j))
+    ctx = AlgebraContext(4)
+    assert evaluate("1 - 2 - 3", ctx).terms == {0: -4 + 0j}
+    assert evaluate("e1^e2^e3", ctx).terms == {0b0111: 1 + 0j}
+    # (2*e1)*e3, not 2*(e1*e3); the first wedge overflows, not the second
+    assert error_span("2*e1*e3")[1:] == (0, 7)
+    with pytest.raises(DslError) as info:
+        evaluate("(1e300*e1)^(1e300*e2)^e3", ctx)
+    assert str(info.value) == "a product coefficient is not finite (bytes 0..21)"
+    for text in ("1 - 2 - 3", "e1^e2^e3", "8*0.5*0.25*e1"):
+        same_outcome(text)
 
 
 def test_parse_unary_minus_binding():
     # looser than *, tighter than binary +/-
-    assert strip(parse(tokenize("-2*e1"))) == (
-        "neg", ("mul", ("scalar", 2 + 0j), ("gen", 1)))
-    assert strip(parse(tokenize("-e1 + e2"))) == (
-        "add", ("neg", ("gen", 1)), ("gen", 2))
-    assert strip(parse(tokenize("--2"))) == ("neg", ("neg", ("scalar", 2 + 0j)))
+    ctx = AlgebraContext(4)
+    assert evaluate("-2*e1", ctx).terms == {0b1: -2 + 0j}
+    assert error_span("-e1*e2")[1:] == (1, 6)
+    assert evaluate("-e1 + e2", ctx).terms == {0b01: -1 + 0j, 0b10: 1 + 0j}
+    assert evaluate("--2", ctx).terms == {0: 2 + 0j}
+    for text in ("-2*e1", "-e1 + e2", "--2", "- -e1^e2 - -e3"):
+        same_outcome(text)
 
 
 def test_parse_parentheses_override():
-    assert strip(parse(tokenize("2*(e1 + e2)"))) == (
-        "mul", ("scalar", 2 + 0j), ("add", ("gen", 1), ("gen", 2)))
+    ctx = AlgebraContext(4)
+    assert evaluate("2*(e1 + e2)", ctx).terms == {0b01: 2 + 0j, 0b10: 2 + 0j}
+    same_outcome("2*(e1 + e2)")
+    # an operation in parentheses fails over their span, and so does one in
+    # nested parentheses; parentheses around a negation leave its operand's
+    for text, span in (("e1 + e2^(e3*e4)", (8, 15)), ("((e1*e2))", (0, 9)),
+                       ("(e1)*e2", (0, 7)), ("-(e1*e2)", (1, 8)), ("(-(e1*e2))", (2, 9)),
+                       ("((e1*e2) + e3)", (1, 8)), ("(e1^(e2*e3)^e4)", (4, 11))):
+        assert error_span(text)[1:] == span, text
 
 
 def test_parse_errors_carry_spans():
+    ctx = AlgebraContext(4)
     with pytest.raises(DslError) as info:
-        parse(tokenize("(e1"))
+        evaluate("(e1", ctx)
     assert info.value.start == 3  # the end-of-input token
     with pytest.raises(DslError) as info:
-        parse(tokenize("e1 + * e2"))
+        evaluate("e1 + * e2", ctx)
     assert (info.value.start, info.value.end) == (5, 6)
     with pytest.raises(DslError) as info:
-        parse(tokenize("e1 e2"))
+        evaluate("e1 e2", ctx)
     assert (info.value.start, info.value.end) == (3, 5)
+    # a syntax error anywhere wins over an evaluation error before it
+    assert error_span("e1*e2 )") == ("unexpected rparen after a complete expression", 6, 7)
+    assert error_span("e1*e2 + (") == (
+        "expected a number, i, a generator, or '(', found end", 9, 9)
+    assert error_span("(e1*e2) + " + "(" * 101 + "e3" + ")" * 101)[1:] == (110, 111)
 
 
 def test_eval_wedge_nilpotency():
     ctx = AlgebraContext(4)
-    assert eval_expr(parse(tokenize("e1^e1")), ctx).is_zero()
-    assert eval_expr(parse(tokenize("(e1+e2)^(e1+e2)")), ctx).is_zero()
+    assert evaluate("e1^e1", ctx).is_zero()
+    assert evaluate("(e1+e2)^(e1+e2)", ctx).is_zero()
 
 
 def test_eval_coefficients():
     ctx = AlgebraContext(4)
-    mv = eval_expr(parse(tokenize("2*e1^e2 + i*e3^e4")), ctx)
+    mv = evaluate("2*e1^e2 + i*e3^e4", ctx)
     assert mv.terms == {0b0011: 2 + 0j, 0b1100: 1j}
-    assert eval_expr(parse(tokenize("i*i")), ctx).terms == {0: -1 + 0j}
-    mv = eval_expr(parse(tokenize("-(1.5 - 2*i)*e1^e3")), ctx)
+    assert (mv.context, mv.flavor) == (ctx, EXTERIOR)
+    assert evaluate("i*i", ctx).terms == {0: -1 + 0j}
+    mv = evaluate("-(1.5 - 2*i)*e1^e3", ctx)
     assert mv.terms == {0b0101: complex(-1.5, 2.0)}
 
 
 def test_eval_star_needs_scalar_operand():
     ctx = AlgebraContext(4)
     with pytest.raises(DslError) as info:
-        eval_expr(parse(tokenize("e1*e2")), ctx)
+        evaluate("e1*e2", ctx)
     assert (info.value.start, info.value.end) == (0, 5)
     assert "^" in info.value.reason
     # scalar on either side is fine
-    assert eval_expr(parse(tokenize("e1*3")), ctx).terms == {0b1: 3 + 0j}
+    assert evaluate("e1*3", ctx).terms == {0b1: 3 + 0j}
 
 
 def test_eval_long_sum_folds_in_a_loop():
     # far more terms than Python's recursion limit, summed left to right
     ctx = AlgebraContext(4)
-    mv = eval_expr(parse(tokenize(" + ".join(["0.001*e1^e2"] * 1500))), ctx)
+    mv = evaluate(" + ".join(["0.001*e1^e2"] * 1500), ctx)
     total = 0j
     for _ in range(1500):
         total = total + 0.001
     assert mv.terms == {0b0011: total}
     assert total != 1.5  # the order of the additions shows in the last bits
     mixed = " - ".join(["e1^e2", "0.5*e1^e2^e3^e4*2", "i*e3^e4"] * 700)
-    assert eval_expr(parse(tokenize(mixed)), ctx).terms == {
+    assert evaluate(mixed, ctx).terms == {
         0b0011: complex(-698, 0), 0b1111: complex(-700, 0), 0b1100: complex(0, -700)}
 
 
@@ -178,33 +230,35 @@ def test_parse_refuses_deep_nesting():
     for opener, closer in (("(", ")"), ("-", ""), ("-(", ")")):
         levels = depth // len(opener)
         ok = opener * levels + "e1^e2" + closer * levels
-        assert eval_expr(parse(tokenize(ok)), ctx).terms == {0b0011: (-1) ** (
+        assert evaluate(ok, ctx).terms == {0b0011: (-1) ** (
             levels * opener.count("-")) + 0j}
         deep = opener * (levels + 1) + "e1^e2" + closer * (levels + 1)
         with pytest.raises(DslError) as info:
-            parse(tokenize(deep))
+            evaluate(deep, ctx)
         # the span is the first opener past the limit
         assert (info.value.start, info.value.end) == (depth, depth + 1)
         assert "nested deeper" in info.value.reason
     # 3000 unary minuses and 200 parentheses: refused, not a RecursionError
     for text in ("-" * 3000 + "e1^e2", "(" * 200 + "e1^e2" + ")" * 200):
         with pytest.raises(DslError):
-            parse(tokenize(text))
+            evaluate(text, ctx)
 
 
 def test_eval_generator_range_checked_against_context():
     ctx = AlgebraContext(4)
     with pytest.raises(DslError) as info:
-        eval_expr(parse(tokenize("e9")), ctx)
+        evaluate("e9", ctx)
     assert (info.value.start, info.value.end) == (0, 2)
+    assert info.value.reason == "generator index 9 outside 1..4"
+    assert evaluate("e9", AlgebraContext(10)).terms == {1 << 8: 1 + 0j}
 
 
 def test_pretty_print_examples():
     ctx = AlgebraContext(4)
-    mv = eval_expr(parse(tokenize("2*e1^e2 - e3^e4 + i*e1^e4")), ctx)
+    mv = evaluate("2*e1^e2 - e3^e4 + i*e1^e4", ctx)
     s = pretty_print(mv)
     assert s == "2.0*e1^e2 + i*e1^e4 - 1.0*e3^e4"
-    assert eval_expr(parse(tokenize(s)), ctx) == mv
+    assert evaluate(s, ctx) == mv
     assert pretty_print(ctx.scalar(0)) == "0"
     assert pretty_print(ctx.scalar(complex(-1.5, 2))) == "(-1.5+2.0*i)"
 
@@ -215,31 +269,8 @@ def test_pretty_print_roundtrip_random():
         ctx = AlgebraContext(dim)
         for _ in range(25):
             mv = random_multivector(ctx, rng, n_terms=8)
-            back = eval_expr(parse(tokenize(pretty_print(mv))), ctx)
+            back = evaluate(pretty_print(mv), ctx)
             assert back == mv  # coefficient-exact, no tolerance
-
-
-def random_ast(rng, dim, depth):
-    if depth == 0 or rng.random() < 0.3:
-        pick = rng.integers(0, 3)
-        if pick == 0:
-            return ("scalar", complex(round(float(rng.uniform(0, 4)), 3)), (0, 0))
-        if pick == 1:
-            return ("scalar", 1j, (0, 0))
-        return ("gen", int(rng.integers(1, dim + 1)), (0, 0))
-    kind = ("add", "sub", "mul", "wedge", "neg")[rng.integers(0, 5)]
-    if kind == "neg":
-        return ("neg", random_ast(rng, dim, depth - 1), (0, 0))
-    return (kind, random_ast(rng, dim, depth - 1),
-            random_ast(rng, dim, depth - 1), (0, 0))
-
-
-def test_format_ast_print_parse_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        ast = random_ast(rng, dim=4, depth=int(rng.integers(1, 5)))
-        text = format_ast(ast)
-        assert strip(parse(tokenize(text))) == strip(ast)
 
 
 class RandomText:
@@ -307,41 +338,12 @@ def random_texts():
             yield dim, gen.sum(int(rng.integers(0, 3)), scalar=False)
 
 
-def test_random_text_print_parse_round_trip():
-    for dim, text in random_texts():
-        ctx = AlgebraContext(dim)
-        ast = parse(tokenize(text, dim))
-        again = parse(tokenize(format_ast(ast)))
-        assert strip(again) == strip(ast), text
-        assert eval_expr(again, ctx) == eval_expr(ast, ctx), text
-
-
-# -- the term-dict evaluator and the table printer against their references --
-
-
-def bits(mv):
-    # keys in dict order with the exact bits of both coefficient parts
-    return [(m, c.real.hex(), c.imag.hex(), type(c)) for m, c in mv.terms.items()]
-
-
-def assert_same(new, old):
-    assert (new.context, new.flavor) == (old.context, old.flavor)
-    assert bits(new) == bits(old)
-
-
-def outcome(fn, *args):
-    # an element's bits, or an error's type, message and span
-    try:
-        return bits(fn(*args))
-    except DslError as exc:
-        return type(exc), str(exc), exc.start, exc.end
+# -- evaluate against the parse-then-evaluate reference ------------------------
 
 
 def test_eval_equals_reference_on_random_texts():
     for dim, text in random_texts():
-        ctx = AlgebraContext(dim)
-        ast = parse(tokenize(text, dim))
-        assert_same(eval_expr(ast, ctx), reference.eval_expr(ast, ctx))
+        assert isinstance(same_outcome(text, dim), list), text
 
 
 EDGE_TEXTS = [
@@ -362,14 +364,12 @@ EDGE_TEXTS = [
 def test_eval_equals_reference_on_edge_cases():
     ctx = AlgebraContext(4)
     for text in EDGE_TEXTS:
-        ast = parse(tokenize(text, 4))
-        assert_same(eval_expr(ast, ctx), reference.eval_expr(ast, ctx))
+        assert isinstance(same_outcome(text), list), text
     # the re-appended key goes last
-    mv = eval_expr(parse(tokenize(EDGE_TEXTS[0])), ctx)
-    assert list(mv.terms) == [0b1100, 0b0011]
+    assert list(evaluate(EDGE_TEXTS[0], ctx).terms) == [0b1100, 0b0011]
 
 
-def test_eval_long_sum_equals_reference():
+def long_sum():
     # 1,500 terms over a few blades, small integer coefficients, so that
     # keys cancel to exactly zero and come back many times
     rng = np.random.default_rng(61)
@@ -378,10 +378,12 @@ def test_eval_long_sum_equals_reference():
         i, j = sorted(rng.choice(6, 2, replace=False) + 1)
         c = int(rng.integers(1, 4))
         terms.append(("+", "-")[int(rng.integers(0, 2))] + f" {c}*e{i}^e{j}")
-    text = "e1^e2 " + " ".join(terms)
-    ctx = AlgebraContext(6)
-    ast = parse(tokenize(text))
-    assert_same(eval_expr(ast, ctx), reference.eval_expr(ast, ctx))
+    return "e1^e2 " + " ".join(terms)
+
+
+def test_eval_long_sum_equals_reference():
+    assert isinstance(same_outcome(long_sum(), 6), list)
+    assert isinstance(same_outcome(" + ".join(["0.001*e1^e2"] * 1500)), list)
 
 
 def test_eval_wedge_of_sums_takes_kernel_and_equals_reference(monkeypatch):
@@ -405,38 +407,36 @@ def test_eval_wedge_of_sums_takes_kernel_and_equals_reference(monkeypatch):
         return " + ".join(parts)
 
     text = f"({random_sum(20, 2)}) ^ ({random_sum(30, 3)}) - e1^e2^e3^e4^e5"
-    ast = parse(tokenize(text, 12))
     assert 20 * 30 > algebra._LOOP_PAIRS
-    kernel_calls.clear()
-    new = eval_expr(ast, ctx)
+    new = evaluate(text, ctx)
     assert len(kernel_calls) == 1
-    assert_same(new, reference.eval_expr(ast, ctx))
+    assert_same(new, reference_evaluate(text, ctx))
 
 
 def test_eval_errors_equal_reference():
-    ctx = AlgebraContext(4)
+    # each evaluation error, and the first of several, in the order a tree
+    # evaluates its nodes: left operand, right operand, then the operation
     texts = ["e1*e2", "(e1 + e2)*(e3)", "e9", "2*e1*e3", "e1^e2*e3^e4", "e1 + e1*e2",
-             "e1*e2 + e99", "e99 + e1*e2", "-(e7)", "(e1 - e5)^e2", "e1 + e2^(e3*e4)"]
+             "e1*e2 + e99", "e99 + e1*e2", "-(e7)", "(e1 - e5)^e2", "e1 + e2^(e3*e4)",
+             "e1*e2 + e3*e4", "e1^(e2*e3) - (e3*e4)", "e1*(e2*e3)", "-(e1*e2)*e3",
+             "((e1*e2)) - (e3*e4)", "(e1*e2) + (e3*e4) )", "e1*e2 + (1e300*e1)^(1e300*e2)"]
     for text in texts:
-        ast = parse(tokenize(text))
-        got = outcome(eval_expr, ast, ctx)
-        assert got == outcome(reference.eval_expr, ast, ctx), text
-        assert got[0] is DslError, text
-    for ast in (("bogus", (0, 3)), ("add", ("gen", 1, (0, 2)), ("bogus", (5, 9)), (0, 9))):
-        assert outcome(eval_expr, ast, ctx) == outcome(reference.eval_expr, ast, ctx)
+        error_span(text)
+    # the reference's wedge raises a bare OverflowError; the evaluator gives
+    # it the wedge's span, as it gives the '*' error the '*' operation's
+    ctx = AlgebraContext(4)
+    for text, span in (("(1e200*e1)^(1e200*e2)", (0, 21)),
+                       ("(1e300*e1)^(1e300*e2) + e1*e2", (0, 21)),
+                       ("-(-(1e300*e1)^(1e300*e2))", (3, 24)),
+                       ("((1e300*e1)^(1e300*e2))", (0, 23))):
+        with pytest.raises(DslError) as info:
+            evaluate(text, ctx)
+        assert str(info.value) == "a product coefficient is not finite (bytes %d..%d)" % span
 
 
-# -- the precedence-climbing parser against the recursive descent it replaced --
+# -- the precedence-climbing evaluator against the recursive descent it replaced --
 
 MUTATION_CHARS = "+-*^()ie1234.5 "
-
-
-def parse_outcome(parse_fn, tokens):
-    # the tree with every span, or the error's type, message and span
-    try:
-        return parse_fn(tokens)
-    except DslError as exc:
-        return type(exc), str(exc), exc.start, exc.end
 
 
 def parser_texts():
@@ -458,20 +458,20 @@ def parser_texts():
 
 
 def test_parser_equals_recursive_descent_reference():
-    parsed = failed = 0
+    evaluated = failed = 0
     for text in parser_texts():
-        try:
-            tokens = tokenize(text)
-        except DslError:
-            continue
-        got = parse_outcome(parse, tokens)
-        assert got == parse_outcome(reference.parse, tokens), text
-        if got[0] is DslError:
-            failed += 1
-        else:
-            parsed += 1
+        for dim in (2, 4, 6):
+            got = same_outcome(text, dim)
+            try:
+                tokenize(text, dim)
+            except DslError:
+                continue  # the lexer's error, the same function on both sides
+            if isinstance(got, tuple):
+                failed += 1
+            else:
+                evaluated += 1
     # both outcomes are covered, thousands of texts in all
-    assert parsed > 1000 and failed > 1000 and parsed + failed > 3500
+    assert evaluated > 1000 and failed > 1000 and evaluated + failed > 3500
 
 
 @pytest.mark.parametrize("prefix, opener, closer", [
@@ -480,14 +480,13 @@ def test_parser_equals_recursive_descent_reference():
 def test_nesting_limit_inside_right_operands(prefix, opener, closer):
     depth = formdsl.MAX_NESTING
     levels = depth // len(opener)
-    ok = tokenize(prefix + opener * levels + "e2" + closer * levels)
-    assert parse(ok) == reference.parse(ok)
-    deep = tokenize(prefix + opener * (levels + 1) + "e2" + closer * (levels + 1))
-    got = parse_outcome(parse, deep)
-    assert got == parse_outcome(reference.parse, deep)
+    ok = prefix + opener * levels + "e2" + closer * levels
+    assert isinstance(same_outcome(ok), list)
+    deep = prefix + opener * (levels + 1) + "e2" + closer * (levels + 1)
     # the span is the first opener past the limit
-    assert got[0] is DslError and "nested deeper" in got[1]
-    assert got[2:] == (len(prefix) + depth, len(prefix) + depth + 1)
+    reason, *span = error_span(deep)
+    assert "nested deeper" in reason
+    assert span == [len(prefix) + depth, len(prefix) + depth + 1]
 
 
 def block_curvature(rng, dim):
@@ -525,6 +524,30 @@ def test_load_curvature_equals_reference(tmp_path):
             for got_row, want_row in zip(got.entries, want):
                 for new, old in zip(got_row, want_row, strict=True):
                     assert_same(new, old)
+
+
+def forms_rounds(seed):
+    # the seeded rounds of the benchmark's forms workload, from
+    # perfbench/inputs.py loaded by its path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.forms_rounds(seed)
+
+
+def test_eval_equals_reference_on_benchmark_and_demo_cells():
+    docs = [json.loads(path.read_text()) for path in sorted(DEMO_DIR.glob("*.json"))]
+    docs += [case["doc"] for seed in (1001, 302) for rnd in forms_rounds(seed)
+             for case in rnd["chars"]]
+    cells = 0
+    for doc in docs:
+        for rows in (doc.get("riemann"), doc.get("twist")):
+            for cell in (c for row in rows or () for c in row if isinstance(c, str)):
+                assert isinstance(same_outcome(cell, 2 * doc["n"]), list), cell
+                cells += 1
+    # 176 cells a seed: 8 rounds of a dim-8 and a dim-12 file
+    assert cells > 2 * 176
 
 
 def test_load_builds_one_multivector_per_nonzero_cell(tmp_path, monkeypatch):
@@ -601,20 +624,6 @@ def test_pretty_print_equals_reference(tmp_path):
     genus = a_hat(load_curvature(cf)[0])
     assert len(genus.terms) == 992
     assert pretty_print(genus) == reference.pretty_print(genus)
-
-
-def test_format_ast_long_sum_renders_in_a_loop():
-    # a left-associated chain longer than Python's recursion limit prints
-    # back to its own text, which reparses to the same tree
-    text = " + ".join(["0.001*e1^e2"] * 1500)
-    ast = parse(tokenize(text))
-    assert format_ast(ast) == text
-    again = parse(tokenize(format_ast(ast)))
-    # compare along the left spine in a loop; tuple == would recurse down it
-    while ast[0] == "add":
-        assert again[0] == "add" and again[2:] == ast[2:]
-        ast, again = ast[1], again[1]
-    assert again == ast
 
 
 def write_json(tmp_path, name, doc):

@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -67,3 +68,7 @@ def test_validation():
         qho_generating_function(1.0, 19)
     with pytest.raises(ValueError):
         qho_generating_function(1.0, 30.5)
+    # infinity died in eigh with a LinAlgError
+    for y in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="y must be finite"):
+            qho_generating_function(y, 20)

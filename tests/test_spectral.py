@@ -88,6 +88,10 @@ def test_witten_index_basics():
         witten_index(lone, 0.0)
     with pytest.raises(ValueError):
         witten_index(lone, -1.0)
+    # infinity made nan (0 * inf) with a RuntimeWarning
+    for tau in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            witten_index(lone, tau)
 
 
 def test_zero_mode_asymmetry():
