@@ -9,8 +9,8 @@ connects the two, on a 4-generator algebra.
 import numpy as np
 
 from diracindex import (AlgebraContext, CLIFFORD, chirality, clifford_mul,
-                        clifford_trace, grade_project, hodge_star, phi_eps,
-                        phi_eps_inv, supertrace, wedge)
+                        clifford_trace, grade_project, phi_eps, phi_eps_inv,
+                        supertrace, wedge)
 
 ctx = AlgebraContext(4)
 e1, e2, e3, e4 = (ctx.generator(k) for k in (1, 2, 3, 4))
@@ -23,7 +23,6 @@ print("(e1+e2)^(e1+e2)  =", wedge(e1 + e2, e1 + e2))
 
 vol = wedge(area, wedge(e3, e4))
 print("volume element   =", vol)
-print("star(e1 ^ e2)    =", hodge_star(area))
 
 # the metric twins square to -1 and anticommute
 g1, g2 = ctx.generator(1, CLIFFORD), ctx.generator(2, CLIFFORD)

@@ -17,7 +17,6 @@ from .algebra import (
     clifford_mul,
     clifford_trace,
     grade_project,
-    hodge_star,
     phi_eps,
     phi_eps_inv,
     supertrace,
@@ -45,7 +44,6 @@ from .formdsl import (
     load_curvature,
     pretty_print,
     read_curvature_file,
-    tokenize,
 )
 from .spectral import (
     AmbiguousSpectrumError,

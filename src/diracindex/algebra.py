@@ -22,8 +22,9 @@ paths the sign of the pair (x, y) is the parity of bitwise_count(x &
 below(y)), where below(y) has bit k set when an odd number of y's
 generators lie under generator k; the Clifford product adds
 bitwise_count(x & y), one -1 per contracted generator.  Each result
-coefficient is summed in pair order (row-major over the two term dicts), so
-the two paths agree bit for bit, key order included.
+coefficient is summed in pair order (row-major over the two term dicts) and
+keyed in the order of its mask's first pair, which the kernel records in one
+2**dim array, so the two paths agree bit for bit, key order included.
 
 A wedge of two operands that each have a single grade skips both paths when
 the grades reach ``dim``.  Past ``dim`` every pair overlaps and the product is
@@ -91,35 +92,32 @@ def _pair_sums(ma, ca, mb, cb, size, clifford):
     # the caller builds the result dict
     ar, ai, br, bi = ca.real[:, None], ca.imag[:, None], cb.real, cb.imag
     flips = _parity_mask(mb, clifford)
-    # only the entries of masks met so far are ever read
-    acc, slot = np.empty(size, dtype=complex), np.empty(size, dtype=np.intp)
-    seen = np.zeros(size, dtype=bool)
-    hits = [np.zeros(0, dtype=np.intp)]
+    # first[m] = total - (row-major index of the first pair on m), 0 where no
+    # pair lands: np.maximum.at keeps the first, and no sentinel fills the array
+    acc, first = np.zeros(size, dtype=complex), np.zeros(size, dtype=np.intp)
+    total = len(ma) * len(mb)
     rows = max(1, _PAIR_CHUNK // max(1, len(mb)))
     for lo in range(0, len(ma), rows):
         x, xr, xi = ma[lo:lo + rows, None], ar[lo:lo + rows], ai[lo:lo + rows]
         y, flip, yr, yi = mb, flips, br, bi
-        if not clifford:
+        if clifford:
+            pair = np.arange(len(x) * len(mb))
+        else:
             # disjoint pairs only, gathered in row-major order
-            i, j = np.divmod(np.flatnonzero((x & mb) == 0), len(mb))
+            pair = np.flatnonzero((x & mb) == 0)
+            i, j = np.divmod(pair, len(mb))
             x, xr, xi = x[i, 0], xr[i, 0], xi[i, 0]
             y, flip, yr, yi = mb[j], flips[j], br[j], bi[j]
         sign = 1.0 - 2.0 * (np.bitwise_count(x & flip) & 1)
         re = ((xr * yr - xi * yi) * sign).ravel()
         im = ((xr * yi + xi * yr) * sign).ravel()
         out = (x ^ y).ravel()
-        fresh = out[~seen[out]]
-        acc[fresh] = 0.0
         np.add.at(acc.real, out, re)
         np.add.at(acc.imag, out, im)
-        # the fresh masks, each once, in the order of their first pair
-        pos = np.arange(fresh.size)
-        slot[fresh] = fresh.size
-        np.minimum.at(slot, fresh, pos)
-        fresh = fresh[slot[fresh] == pos]
-        seen[fresh] = True
-        hits.append(fresh)
-    hit = np.concatenate(hits)
+        np.maximum.at(first, out, total - lo * len(mb) - pair)
+    # numpy finds the nonzeros of a bool array several times faster than of an int one
+    hit = np.flatnonzero(first != 0)
+    hit = hit[np.argsort(-first[hit])]
     return hit, acc[hit]
 
 
@@ -188,9 +186,10 @@ def _product_terms(a, b, dim, clifford):
     larger products go through the numpy kernel.  There coefficients
     multiply in real arithmetic as CPython's complex product does (numpy's
     complex multiply can differ in the last bit), and ``np.add.at`` adds
-    them up one pair at a time, in pair order.  Pruning uses ``np.hypot``,
-    which is CPython's ``abs`` of a complex.  Either way the result dict is
-    built once, in first-appearance order, holding nonzero complex values.
+    them up one pair at a time, in pair order, and one 2**dim array records
+    each mask's first pair.  Pruning uses ``np.hypot``, CPython's ``abs`` of
+    a complex.  Either way the result dict is built once, in the order of
+    each mask's first pair, holding nonzero complex values.
     A wedge of single-grade operands whose grades reach the dimension takes
     neither path (``_top_wedge``, module docstring).  A coefficient that is
     infinite or NaN raises ``OverflowError``: a relative prune against it
@@ -472,22 +471,6 @@ def grade_project(a, r):
     """Keep the grade-r part."""
     return MultiVector(a.context, {m: c for m, c in a.terms.items() if m.bit_count() == r},
                        a.flavor)
-
-
-def hodge_star(a):
-    """Hodge dual on the exterior algebra: blade -> signed complement.
-
-    The sign is fixed by blade ^ star(blade) = +(top form), coefficients are
-    carried along complex-linearly.
-    """
-    if a.flavor != EXTERIOR:
-        raise TypeError("hodge_star acts on exterior elements")
-    top = a.context.top_mask
-    out = {}
-    for m, c in a.terms.items():
-        comp = top & ~m
-        out[comp] = c * (-1 if (m & _below(comp)).bit_count() & 1 else 1)
-    return MultiVector(a.context, out, EXTERIOR)
 
 
 def phi_eps(a, eps):

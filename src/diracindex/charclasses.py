@@ -23,6 +23,7 @@ Conventions, fixed once:
 
 import cmath
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -248,9 +249,6 @@ class FormMatrix:
     def context(self):
         return self.entries[0][0].context
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def __repr__(self):
         return f"FormMatrix(kind={self.kind!r}, size={self.size}, dim={self.context.dim})"
 
@@ -412,8 +410,8 @@ def index_density(tangent, twist, cap=None):
 
 
 def a_closed_form(y):
-    """(y/2)/sinh(y/2); even in y, 1 at the origin and finite for finite y."""
-    y = float(y)
+    """(y/2)/sinh(y/2); even in y and 1 at the origin.  y must be finite."""
+    y = _check_y(y, positive=False)
     if abs(y) < 1e-4:
         z = y * y
         return 1.0 + z * (-1.0 / 24.0 + z * (7.0 / 5760.0))
@@ -425,11 +423,14 @@ def a_closed_form(y):
         return abs(y) * math.exp(-abs(y) / 2.0)
 
 
-def _check_y(y):
-    if not math.isfinite(y):
+def _check_y(y, positive=True):
+    # y as a float: NaN fails the first test, and so does an int past the
+    # float range, which float() would overflow on
+    if not abs(y) <= sys.float_info.max:
         raise ValueError("y must be finite")
-    if y <= 0:
+    if positive and y <= 0:
         raise ValueError("y must be positive")
+    return float(y)
 
 
 def partition_sum(y, m_max):
@@ -438,7 +439,7 @@ def partition_sum(y, m_max):
     Monotonically increasing in M toward a_closed_form(y); the omitted tail
     is the exact geometric remainder y e^{-y/2} e^{-(M+1)y} / (1 - e^{-y}).
     """
-    _check_y(y)
+    y = _check_y(y)
     if not isinstance(m_max, int) or m_max < 0:
         raise ValueError("m_max must be a nonnegative integer")
     return float(y * math.exp(-y / 2.0) * np.exp(-y * np.arange(m_max + 1)).sum())
@@ -468,8 +469,7 @@ def qho_generating_function(y, cutoff):
     A Cartesian box m1, m2 < cutoff breaks the rotation symmetry and
     converges only like cutoff**-2; the tests keep it as the reference.
     """
-    y = float(y)
-    _check_y(y)
+    y = _check_y(y)
     if not isinstance(cutoff, int) or cutoff < 20:
         raise ValueError("cutoff must be an integer >= 20")
     # the L = 0 block of the exponent in circular modes: states |n, n>,

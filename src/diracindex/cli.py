@@ -148,15 +148,12 @@ def cmd_characteristic(args):
     cf = read_curvature_file(args.file)
     riemann, twist = load_curvature(cf)
     cap = args.order
-    if args.which == "ahat" and riemann is None:
-        print("characteristic: file has no riemann matrix", file=sys.stderr)
-        return 4
-    if args.which == "chern" and twist is None:
-        print("characteristic: file has no twist matrix", file=sys.stderr)
-        return 4
-    if riemann is None and twist is None:
-        print("characteristic: file has neither matrix", file=sys.stderr)
-        return 4
+    for missing, what in ((args.which == "ahat" and riemann is None, "no riemann matrix"),
+                          (args.which == "chern" and twist is None, "no twist matrix"),
+                          (riemann is None and twist is None, "neither matrix")):
+        if missing:
+            print(f"characteristic: file has {what}", file=sys.stderr)
+            return 4
     try:
         if args.which == "ahat":
             series = a_hat(riemann, cap=cap)

@@ -37,7 +37,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .algebra import AlgebraContext, EXTERIOR, MultiVector, _accumulate, _product_terms, _scale
 from .charclasses import RIEMANN, TWIST, FormMatrix
@@ -58,13 +57,6 @@ class DslError(ValueError):
 
 class CurvatureFormatError(DslError):
     """Container-level failure: unreadable file, bad shape, bad matrix."""
-
-
-class Token(NamedTuple):
-    kind: str
-    value: object
-    start: int
-    end: int
 
 
 # the binary operators, loosest first: symbol, token kind, operation and
@@ -92,19 +84,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text, dim=None):
-    """Lex an expression into Tokens carrying UTF-8 byte spans.
-
-    Longest match wins.  With dim given, generator indices are range-checked
-    here; otherwise they are checked at evaluation time against the context.
-    A number too large for a float is an error.
-    """
-    return list(map(Token._make, _lex(text, dim)))
-
-
 def _lex(text, dim):
-    # tokenize's tokens as plain (kind, value, start, end) tuples, which the
-    # parser reads alike and which cost a fraction of a Token to make;
+    """Lex an expression into (kind, value, start, end) tuples, spans in UTF-8 bytes.
+
+    Longest match wins.  Generator indices are range-checked against dim
+    here, and a number too large for a float is an error.
+    """
     # byte offset of each character boundary, when they differ from the indices
     byte_at = None if text.isascii() else [
         0, *itertools.accumulate(len(ch.encode("utf-8")) for ch in text)]
@@ -125,7 +110,7 @@ def _lex(text, dim):
             append(("number", value, start, end))
         elif group == 2:
             value = int(m[2])
-            if value < 1 or (dim is not None and value > dim):
+            if not 1 <= value <= dim:
                 raise DslError(f"generator index {value} outside 1..{dim}", start, end)
             append(("generator", value, start, end))
         elif group == 5:

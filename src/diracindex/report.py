@@ -190,8 +190,10 @@ def run_sphere_case(q, k_max=30, taus=DEFAULT_TAUS):
 
     The topological side is the Chern number of the charge-q monopole's line
     bundle, of constant curvature q / 2 on the unit sphere (sphere_flux),
-    computed from its character rather than read off the fixture.  Returns
-    (report, tail bounds per tau, fixture system).
+    computed from its character.  The spectral side is a fixture whose
+    spectrum is written from its closed form (sphere_monopole_fixture), so
+    only the flux is computed.  Returns (report, tail bounds per tau,
+    fixture system).
 
     The truncation tail bounds the exact sum; evaluating a few thousand
     heat weights in floats adds summation roundoff on top, so the plateau
@@ -400,6 +402,7 @@ def stage_torus():
 
 
 def stage_sphere():
+    """Sphere cases q = -2..2: each flux is computed, each spectrum is the closed-form fixture."""
     cases = []
     ok = True
     for q in range(-2, 3):
@@ -467,17 +470,12 @@ def run_verify_all():
     """All five categories; returns (document, exit code, stage timings ms).
 
     The document's top-level keys are exactly the category names in fixed
-    order.  The exit code is 0 only if every category passes; otherwise it
-    reflects the first failing category (verification failure -> 1).
+    order.  The exit code is 0 if every category passes, else 1.
     """
-    doc = {}
-    timings = {}
-    exit_code = 0
+    doc, timings, passed = {}, {}, True
     for name, fn in _STAGES:
         t0 = time.perf_counter()
-        section, ok = fn()
+        doc[name], ok = fn()
         timings[name] = _ms(t0)
-        doc[name] = section
-        if not ok and exit_code == 0:
-            exit_code = 1
-    return doc, exit_code, timings
+        passed = passed and ok
+    return doc, 0 if passed else 1, timings

@@ -39,6 +39,7 @@ AmbiguousSpectrumError rather than guess.
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -120,7 +121,8 @@ class PairViolation(NamedTuple):
 
 def witten_index(system, tau):
     """Chirality-weighted heat sum of e^(-tau lambda/2) at inverse temperature tau."""
-    if not 0 < tau < math.inf:
+    # NaN fails the test, and so does an int past the float range
+    if not 0 < tau <= sys.float_info.max:
         raise ValueError("tau must be positive and finite")
     weights = np.exp(-tau * 0.5 * system.eigenvalues)
     return float(np.sum(system.chiralities * weights))
@@ -176,12 +178,14 @@ def _check_sphere_args(q, k_max):
 
 
 def sphere_monopole_fixture(q, k_max):
-    """Exactly paired monopole spectrum on the round sphere.
+    """Exactly paired monopole spectrum on the round sphere, written from its closed form.
 
     |q| zero modes, all of chirality sign(q); level k = 1..k_max sits at
     lambda = k (k + |q|) with multiplicity 2k + |q| in each chirality sector,
     so every nonzero level is exactly balanced.  At q = 0 this reduces to the
-    round-sphere spectrum (multiplicity 2k per sector, no zero modes).
+    round-sphere spectrum (multiplicity 2k per sector, no zero modes).  No
+    operator is built or diagonalised: the spectral side of a sphere case is
+    this fixture, not a computation.
     """
     _check_sphere_args(q, k_max)
     # the zero modes, then each level's + sector followed by its - sector
@@ -207,10 +211,10 @@ def sphere_case_bytes(q, k_max):
 
 def sphere_tail_bound(q, k_max, tau):
     """Heat weight of the first omitted fixture level times its multiplicity."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau <= sys.float_info.max:
+        raise ValueError("tau must be positive and finite")
     lam_next = (k_max + 1) * (k_max + 1 + abs(q))
-    return (2 * (k_max + 1) + abs(q)) * math.exp(-tau * lam_next / 2.0)
+    return (2 * (k_max + 1) + abs(q)) * math.exp(-tau / 2.0 * lam_next)
 
 
 # ---------------------------------------------------------------------------

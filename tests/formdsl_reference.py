@@ -15,7 +15,7 @@ OverflowError here.  The printers are tested to equal string for string.
 
 from diracindex.algebra import EXTERIOR, wedge
 from diracindex.charclasses import FormMatrix
-from diracindex.formdsl import MAX_NESTING, DslError, tokenize
+from diracindex.formdsl import MAX_NESTING, DslError, _lex
 
 
 _SUM_OPS = {"plus": "add", "minus": "sub"}
@@ -158,7 +158,7 @@ def _combine(ast, left, right):
 
 def load_cells(rows, ctx):
     """The cells of one container matrix as MultiVectors, each cell on its own."""
-    return [[eval_expr(parse(tokenize(cell, ctx.dim)), ctx) if isinstance(cell, str)
+    return [[eval_expr(parse(_lex(cell, ctx.dim)), ctx) if isinstance(cell, str)
              else ctx.scalar(complex(cell)) for cell in row] for row in rows]
 
 

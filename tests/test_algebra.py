@@ -17,7 +17,6 @@ from diracindex.algebra import (
     clifford_mul,
     clifford_trace,
     grade_project,
-    hodge_star,
     phi_eps,
     phi_eps_inv,
     supertrace,
@@ -158,36 +157,6 @@ def test_grade_project():
     assert back == a
 
 
-def test_hodge_examples():
-    ctx2 = AlgebraContext(2)
-    e1, e2 = ctx2.generator(1), ctx2.generator(2)
-    assert hodge_star(e1) == e2
-    assert hodge_star(e2) == -e1
-    ctx4 = AlgebraContext(4)
-    top = ctx4.blade([1, 2, 3, 4])
-    assert hodge_star(ctx4.scalar(1.0)) == top
-    assert hodge_star(top) == ctx4.scalar(1.0)
-
-
-def test_hodge_complement_normalization():
-    # defining property: blade ^ star(blade) = +top, for every basis blade
-    for dim in (2, 4, 6):
-        ctx = AlgebraContext(dim)
-        top = ctx.blade_from_mask(ctx.top_mask)
-        for mask in range(ctx.top_mask + 1):
-            b = ctx.blade_from_mask(mask)
-            assert wedge(b, hodge_star(b)) == top
-
-
-def test_hodge_double_star_sign():
-    # star(star(b)) = (-1)^grade b in even total dimension
-    ctx = AlgebraContext(6)
-    for mask in range(ctx.top_mask + 1):
-        b = ctx.blade_from_mask(mask)
-        sign = -1 if mask.bit_count() & 1 else 1
-        assert hodge_star(hodge_star(b)) == sign * b
-
-
 def test_phi_eps_roundtrip():
     rng = np.random.default_rng(7)
     ctx = AlgebraContext(8)
@@ -214,8 +183,6 @@ def test_phi_eps_flavor_discipline():
     b = phi_eps(a, 0.5)
     with pytest.raises(TypeError):
         phi_eps(b, 0.5)
-    with pytest.raises(TypeError):
-        hodge_star(b)
     with pytest.raises(ValueError):
         phi_eps(a, 0.0)
 
@@ -264,7 +231,7 @@ def test_chirality_anticommutes_with_generators():
 def test_chirality_pulls_back_to_volume_form():
     for n in (1, 2, 3):
         ctx = AlgebraContext(2 * n)
-        vol = hodge_star(ctx.scalar(1.0))
+        vol = ctx.blade_from_mask(ctx.top_mask)
         assert phi_eps_inv(chirality(ctx), 1.0) == 1j**n * vol
 
 
@@ -510,17 +477,6 @@ def test_products_refuse_non_finite_coefficients(monkeypatch):
         rest = MultiVector(ctx, {0b1100: 1e200, 0b1010: 1.0}, EXTERIOR)
         with pytest.raises(OverflowError):
             wedge(two, rest)
-
-
-def test_hodge_sign_equals_pair_loop_sign():
-    ctx = AlgebraContext(6)
-    for coeff in (1.0, complex(-0.5, 2.0), -1j):
-        for mask in range(ctx.top_mask + 1):
-            comp = ctx.top_mask & ~mask
-            star = hodge_star(MultiVector(ctx, {mask: coeff}, EXTERIOR))
-            want = MultiVector(ctx, {comp: complex(coeff) * reference._reorder_sign(mask, comp)},
-                               EXTERIOR)
-            _assert_same(star, want)
 
 
 # -- wedges of single-grade operands whose grades reach the dimension --------

@@ -231,8 +231,8 @@ def test_block_diagonal_riemann():
         block_diagonal_riemann(ctx, [th])
     R = block_diagonal_riemann(ctx, [th, 2 * th])
     assert R.kind == RIEMANN
-    assert R.entry(0, 1) == th and R.entry(1, 0) == -th
-    assert R.entry(2, 3) == 2 * th
+    assert R.entries[0][1] == th and R.entries[1][0] == -th
+    assert R.entries[2][3] == 2 * th
 
 
 # -- genus and character -----------------------------------------------------
@@ -307,9 +307,9 @@ def test_chern_character_additive_on_direct_sums():
     F2 = FormMatrix([[0.5 * ctx.blade([3, 4]), off * ctx.blade([1, 3])],
                      [off.conjugate() * ctx.blade([1, 3]), -0.8 * ctx.blade([1, 4])]], TWIST)
     z = ctx.scalar(0.0)
-    joined = FormMatrix([[F1.entry(0, 0), z, z],
-                         [z, F2.entry(0, 0), F2.entry(0, 1)],
-                         [z, F2.entry(1, 0), F2.entry(1, 1)]], TWIST)
+    joined = FormMatrix([[F1.entries[0][0], z, z],
+                         [z, F2.entries[0][0], F2.entries[0][1]],
+                         [z, F2.entries[1][0], F2.entries[1][1]]], TWIST)
     lhs = chern_character(joined)
     rhs = chern_character(F1) + chern_character(F2)
     assert (lhs - rhs).max_norm() < 1e-15
@@ -490,6 +490,10 @@ def test_a_closed_form():
         assert a_closed_form(y) == a_closed_form(-y)
     # the small-y branch joins the sinh branch smoothly
     assert abs(a_closed_form(9.9e-5) - a_closed_form(1.01e-4)) < 1e-10
+    # infinity returned nan, and an int past the float range overflowed
+    for y in (math.inf, -math.inf, math.nan, 10**400, -10**400):
+        with pytest.raises(ValueError, match="y must be finite"):
+            a_closed_form(y)
 
 
 def test_partition_sum_matches_closed_form():
@@ -510,7 +514,7 @@ def test_partition_sum_monotone_and_validated():
         partition_sum(-1.0, 10)
     with pytest.raises(ValueError):
         partition_sum(1.0, -1)
-    # both returned nan
-    for y in (math.nan, math.inf):
+    # both returned nan, and an int past the float range overflowed
+    for y in (math.nan, math.inf, 10**400):
         with pytest.raises(ValueError, match="y must be finite"):
             partition_sum(y, 5)

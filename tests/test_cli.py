@@ -1,9 +1,11 @@
 import csv
+import functools
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -508,6 +510,9 @@ def test_verify_all_byte_stable_and_honest(capsys, tmp_path):
     code1, _, err1 = run(capsys, "verify-all", "--out", str(a))
     code2, _, _ = run(capsys, "verify-all", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+    # the whole document is pinned; the torus sums keep their roundoff below
+    # the 1e-12 it is printed to on every BLAS kernel (the test further down)
+    assert a.read_bytes() == (DATA_DIR / "verify_all.json").read_bytes()
     assert code1 == code2
     doc = json.loads(a.read_text())
     assert list(doc) == ["algebra", "characteristic", "torus", "sphere", "genfun"]
@@ -535,20 +540,33 @@ _VERIFY_ALL_MODULES = """
 import sys
 from diracindex.cli import main
 code = main(["verify-all", "--out", sys.argv[1]])
-print(code, "numpy.random" in sys.modules)
+print("numpy.random" in sys.modules)
+sys.exit(code)
 """
 
 
-def test_verify_all_never_loads_numpy_random(tmp_path):
+@functools.cache
+def cold_verify_all():
+    """One cold verify-all child on the default BLAS kernel, shared by the two
+    tests below and run when the first of them gets past its skip: the
+    finished process, whose stdout says whether numpy.random was loaded, and
+    the document's bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "doc.json"
+        child = run_child(["-c", _VERIFY_ALL_MODULES, str(out)], OPENBLAS_CORETYPE=None)
+        return child, out.read_bytes() if child.returncode == 0 else None
+
+
+def test_verify_all_never_loads_numpy_random():
     # the sampled checks draw from random.Random; numpy.random would add
     # about 6 MB and 15 ms to every cold verify-all
     plain = run_child(["-c", "import sys, numpy; print('numpy.random' in sys.modules)"])
     assert plain.returncode == 0, plain.stderr
     if plain.stdout.split() == ["True"]:
         pytest.skip("this numpy loads numpy.random on a plain import numpy")
-    done = run_child(["-c", _VERIFY_ALL_MODULES, str(tmp_path / "doc.json")])
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    child, _ = cold_verify_all()
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False"]
 
 
 def _forced_kernels_unavailable():
@@ -568,9 +586,11 @@ def test_verify_all_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     reason = _forced_kernels_unavailable()
     if reason:
         pytest.skip(reason)
-    docs = {}
-    for kernel in (None, "Prescott", "Nehalem"):
-        out = tmp_path / f"{kernel or 'default'}.json"
+    child, default = cold_verify_all()
+    assert child.returncode == 0, child.stderr
+    docs = {None: default}
+    for kernel in ("Prescott", "Nehalem"):
+        out = tmp_path / f"{kernel}.json"
         done = run_child(["-m", "diracindex.cli", "verify-all", "--out", str(out)],
                          OPENBLAS_CORETYPE=kernel)
         assert done.returncode == 0, done.stderr

@@ -11,9 +11,8 @@ import formdsl_reference as reference
 from diracindex import algebra, formdsl
 from diracindex.algebra import EXTERIOR, AlgebraContext, MultiVector
 from diracindex.charclasses import RIEMANN, TWIST, a_hat, chern_character
-from diracindex.formdsl import (CurvatureFormatError, DslError, evaluate,
-                                load_curvature, pretty_print, read_curvature_file,
-                                tokenize)
+from diracindex.formdsl import (CurvatureFormatError, DslError, _lex, evaluate,
+                                load_curvature, pretty_print, read_curvature_file)
 from conftest import random_multivector
 
 
@@ -30,7 +29,7 @@ def assert_same(new, old):
 def reference_evaluate(text, ctx):
     # the oracle: lexed at the context's dim, as load_curvature lexes, parsed
     # into a tree by recursive descent, then evaluated node by node
-    return reference.eval_expr(reference.parse(tokenize(text, ctx.dim)), ctx)
+    return reference.eval_expr(reference.parse(_lex(text, ctx.dim)), ctx)
 
 
 def outcome(fn, text, dim=4):
@@ -56,52 +55,46 @@ def error_span(text, dim=4):
 
 
 def test_tokenize_basic():
-    toks = tokenize("2*e1^e2")
-    assert [t.kind for t in toks] == [
-        "number", "star", "generator", "caret", "generator", "end"]
-    assert toks[0].value == 2.0
-    assert toks[2].value == 1 and toks[4].value == 2
-    assert [(t.start, t.end) for t in toks] == [
-        (0, 1), (1, 2), (2, 4), (4, 5), (5, 7), (7, 7)]
+    # tokens are (kind, value, start, end) tuples
+    toks = _lex("2*e1^e2", 4)
+    assert toks == [("number", 2.0, 0, 1), ("star", None, 1, 2), ("generator", 1, 2, 4),
+                    ("caret", None, 4, 5), ("generator", 2, 5, 7), ("end", None, 7, 7)]
 
 
 def test_tokenize_longest_match_number():
     # the exponent grabs the e: 2e1 is the number twenty
-    toks = tokenize("2e1")
-    assert [t.kind for t in toks] == ["number", "end"]
-    assert toks[0].value == 20.0
-    toks = tokenize("2*e1")
-    assert [t.kind for t in toks] == ["number", "star", "generator", "end"]
+    assert _lex("2e1", 4) == [("number", 20.0, 0, 3), ("end", None, 3, 3)]
+    toks = _lex("2*e1", 4)
+    assert [t[0] for t in toks] == ["number", "star", "generator", "end"]
 
 
 def test_tokenize_generator_out_of_range():
-    with pytest.raises(DslError) as info:
-        tokenize("e99", dim=4)
-    assert (info.value.start, info.value.end) == (0, 3)
-    assert "99" in str(info.value)
-    # no dim given: lexes fine, range is the evaluator's problem
-    toks = tokenize("e99")
-    assert toks[0].value == 99
+    for text, span in (("e99", (0, 3)), ("e0", (0, 2)), ("e1^e5", (3, 5))):
+        with pytest.raises(DslError) as info:
+            _lex(text, 4)
+        assert (info.value.start, info.value.end) == span
+        assert str(info.value).startswith(f"generator index {text[span[0] + 1:]} outside 1..4")
+    assert _lex("e4", 4)[0] == ("generator", 4, 0, 2)
 
 
 def test_tokenize_unknown_character():
     with pytest.raises(DslError) as info:
-        tokenize("e1 @ e2")
+        _lex("e1 @ e2", 4)
     assert (info.value.start, info.value.end) == (3, 4)
 
 
 def test_tokenize_byte_offsets_non_ascii():
     # the multiplication sign is two UTF-8 bytes; spans count bytes
     with pytest.raises(DslError) as info:
-        tokenize("2 × e1")
+        _lex("2 × e1", 4)
     assert (info.value.start, info.value.end) == (2, 4)
 
 
 def test_tokenize_non_ascii_whitespace_and_errors_keep_byte_spans():
     # no-break space (2 bytes), ideographic and em spaces (3 bytes) are
     # skipped as whitespace; spans and error positions count bytes
-    toks = tokenize("2\u00a0*\u3000e1 ^ e2\u2003")
-    assert [tuple(t) for t in toks] == [
+    toks = _lex("2\u00a0*\u3000e1 ^ e2\u2003", 4)
+    assert toks == [
         ("number", 2.0, 0, 1), ("star", None, 3, 4), ("generator", 1, 7, 9),
         ("caret", None, 10, 11), ("generator", 2, 12, 14), ("end", None, 17, 17)]
     for text, span, message in (
@@ -115,7 +108,7 @@ def test_tokenize_non_ascii_whitespace_and_errors_keep_byte_spans():
             ("e1^e\u0662", (4, 6), "unexpected character '\u0662'"),
             ("2.\u0665*e1", (2, 4), "unexpected character '\u0665'")):
         with pytest.raises(DslError) as info:
-            tokenize(text, dim=4)
+            _lex(text, 4)
         assert (info.value.start, info.value.end) == span
         assert str(info.value).startswith(message)
 
@@ -461,11 +454,16 @@ def test_parser_equals_recursive_descent_reference():
     evaluated = failed = 0
     for text in parser_texts():
         for dim in (2, 4, 6):
-            got = same_outcome(text, dim)
+            # lexed once, for the reference and to set the lexer's errors apart
             try:
-                tokenize(text, dim)
-            except DslError:
-                continue  # the lexer's error, the same function on both sides
+                tokens = _lex(text, dim)
+            except DslError as exc:
+                # the lexer's error, the same function on both sides
+                assert outcome(evaluate, text, dim) == (DslError, str(exc), exc.start, exc.end)
+                continue
+            got = outcome(evaluate, text, dim)
+            assert got == outcome(lambda _, ctx: reference.eval_expr(reference.parse(tokens), ctx),
+                                  text, dim), (text, dim)
             if isinstance(got, tuple):
                 failed += 1
             else:
@@ -645,7 +643,7 @@ def test_read_and_load_torus_file(tmp_path):
     assert cf.metadata["volume"] == pytest.approx(2 * np.pi)
     riemann, tw = load_curvature(cf)
     assert riemann is None and tw.kind == TWIST and tw.size == 1
-    assert tw.entry(0, 0).terms == {0b11: 3 + 0j}
+    assert tw.entries[0][0].terms == {0b11: 3 + 0j}
     ch = chern_character(tw, cap=2)
     assert ch.coefficient(1, 2) * cf.metadata["volume"] == pytest.approx(3.0)
 
@@ -656,8 +654,8 @@ def test_read_and_load_riemann_with_zero_cells(tmp_path):
     cf = read_curvature_file(write_json(tmp_path, "r.json", doc))
     riemann, tw = load_curvature(cf)
     assert tw is None and riemann.kind == RIEMANN and riemann.size == 2
-    assert riemann.entry(0, 0).is_zero()
-    assert (riemann.entry(0, 1) + riemann.entry(1, 0)).is_zero()
+    assert riemann.entries[0][0].is_zero()
+    assert (riemann.entries[0][1] + riemann.entries[1][0]).is_zero()
 
 
 def test_container_shape_errors(tmp_path):
@@ -709,10 +707,10 @@ def test_load_errors_name_the_cell(tmp_path):
 def test_non_finite_numbers_are_refused(tmp_path):
     # a literal past the float range, with its span; an underflow is just 0
     with pytest.raises(DslError) as info:
-        tokenize("2*e1 + 1.5e309*e2")
+        _lex("2*e1 + 1.5e309*e2", 4)
     assert (info.value.start, info.value.end) == (7, 14)
     assert str(info.value) == "number '1.5e309' is too large for a float (bytes 7..14)"
-    assert tokenize("1e-999")[0].value == 0.0
+    assert _lex("1e-999", 4)[0] == ("number", 0.0, 0, 6)
     # the volume: NaN, infinities, an int past the float range and booleans
     for volume, reason in (("NaN", "finite"), ("Infinity", "finite"), ("-Infinity", "finite"),
                            (str(10**400), "finite"), ("true", "a number"),

@@ -68,7 +68,8 @@ def test_validation():
         qho_generating_function(1.0, 19)
     with pytest.raises(ValueError):
         qho_generating_function(1.0, 30.5)
-    # infinity died in eigh with a LinAlgError
-    for y in (math.inf, -math.inf, math.nan):
+    # infinity died in eigh with a LinAlgError, and an int past the float
+    # range overflowed
+    for y in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="y must be finite"):
             qho_generating_function(y, 20)

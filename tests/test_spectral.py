@@ -88,8 +88,9 @@ def test_witten_index_basics():
         witten_index(lone, 0.0)
     with pytest.raises(ValueError):
         witten_index(lone, -1.0)
-    # infinity made nan (0 * inf) with a RuntimeWarning
-    for tau in (math.inf, -math.inf, math.nan):
+    # infinity made nan (0 * inf) with a RuntimeWarning, and an int past the
+    # float range overflowed
+    for tau in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             witten_index(lone, tau)
 
@@ -167,6 +168,10 @@ def test_sphere_tail_bound():
         sphere_monopole_fixture(0.5, 10)
     with pytest.raises(ValueError):
         sphere_tail_bound(1, 10, 0.0)
+    # infinity gave a bound of 0, and an int past the float range overflowed
+    for tau in (math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            sphere_tail_bound(1, 3, tau)
 
 
 def test_nearest_integer_accepts_within_the_residual():
