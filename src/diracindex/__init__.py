@@ -47,7 +47,6 @@ from .formdsl import (
 )
 from .spectral import (
     AmbiguousSpectrumError,
-    ChiralityDefectError,
     LatticeGaugeField,
     PairViolation,
     SpectralSystem,

@@ -124,8 +124,6 @@ def splitting_oracle(n, cap):
     power = {(): Fraction(1)}
     for m in range(1, zcap + 1):
         power = _poly_mul(power, exponent, zcap)
-        if not power:
-            break
         inv_fact = Fraction(1, math.factorial(m))
         for key, c in power.items():
             table[key] = table.get(key, Fraction(0)) + c * inv_fact

@@ -4,12 +4,11 @@ Exit codes: 0 everything verified, 1 a verification failed, 2 usage or
 argument validation (one stderr line; numbers must be finite), an
 index-torus --N or index-sphere --q/--kmax whose peak memory exceeds the
 budget, or an output path (--out, --csv) that cannot be written, 3
-numerical ambiguity (no clean zero/nonzero split) or a Wilson operator that
-breaks chirality-hermiticity, 4 curvature file error, non-finite input
-included (a number too large for a float, a NaN, infinite or boolean
-volume, a series coefficient or integral that overflows).  Human-readable
-tables go to stdout; --format json swaps in the deterministic report
-rendering (timings stay out of JSON).
+numerical ambiguity (no clean zero/nonzero split), 4 curvature file error,
+non-finite input included (a number too large for a float, a NaN, infinite
+or boolean volume, a series coefficient or integral that overflows).
+Human-readable tables go to stdout; --format json swaps in the
+deterministic report rendering (timings stay out of JSON).
 """
 
 import argparse
@@ -23,8 +22,7 @@ from .formdsl import DslError, load_curvature, pretty_print, read_curvature_file
 from .report import (DEFAULT_TAUS, GENFUN_TOL, canonical_json, genfun_table,
                      round_sig, run_sphere_case, run_torus_case, run_verify_all,
                      stage_algebra, write_spectrum_csv)
-from .spectral import (AmbiguousSpectrumError, ChiralityDefectError, sphere_case_bytes,
-                       torus_case_bytes)
+from .spectral import AmbiguousSpectrumError, sphere_case_bytes, torus_case_bytes
 
 # peak bytes of a case above which index-torus and index-sphere refuse it
 TORUS_MEMORY_BUDGET = 2**30
@@ -295,9 +293,6 @@ def main(argv=None):
         return args.func(args)
     except AmbiguousSpectrumError as exc:
         print(f"ambiguous spectrum: {exc}", file=sys.stderr)
-        return 3
-    except ChiralityDefectError as exc:
-        print(f"operator defect: {exc}", file=sys.stderr)
         return 3
     except DslError as exc:
         print(f"curvature input error: {exc}", file=sys.stderr)

@@ -69,10 +69,6 @@ class AmbiguousSpectrumError(RuntimeError):
     """A spectral quantity cannot be read off unambiguously."""
 
 
-class ChiralityDefectError(RuntimeError):
-    """The Wilson operator breaks chirality-hermiticity Gamma D Gamma = D^dagger."""
-
-
 # ---------------------------------------------------------------------------
 # graded spectra
 
@@ -211,6 +207,7 @@ def sphere_case_bytes(q, k_max):
 
 def sphere_tail_bound(q, k_max, tau):
     """Heat weight of the first omitted fixture level times its multiplicity."""
+    _check_sphere_args(q, k_max)
     if not 0 < tau <= sys.float_info.max:
         raise ValueError("tau must be positive and finite")
     lam_next = (k_max + 1) * (k_max + 1 + abs(q))
@@ -237,7 +234,8 @@ class LatticeGaugeField:
         links = np.asarray(self.links, dtype=complex)
         if links.ndim != 3 or links.shape[0] != 2 or links.shape[1] != links.shape[2]:
             raise ValueError("links must have shape (2, N, N)")
-        if np.max(np.abs(np.abs(links) - 1.0)) > 1e-12:
+        # NaN fails the test
+        if not np.max(np.abs(np.abs(links) - 1.0)) <= 1e-12:
             raise ValueError("link phases must have unit modulus")
         links = links.copy()
         links.setflags(write=False)
@@ -316,9 +314,12 @@ def gauge_transform(gauge, site_phases):
     alpha = np.asarray(site_phases)
     if alpha.shape != (gauge.size, gauge.size):
         raise ValueError(f"site phases must have shape ({gauge.size}, {gauge.size})")
+    # NaN fails both tests
     if not np.iscomplexobj(alpha):
+        if not np.max(np.abs(alpha)) <= sys.float_info.max:
+            raise ValueError("site angles must be finite")
         alpha = np.exp(1j * alpha)
-    elif np.max(np.abs(np.abs(alpha) - 1.0)) > 1e-12:
+    elif not np.max(np.abs(np.abs(alpha) - 1.0)) <= 1e-12:
         raise ValueError("complex site phases must have unit modulus")
     ux, uy = gauge.links
     new_ux = alpha * ux * np.conj(np.roll(alpha, -1, axis=0))
@@ -678,21 +679,16 @@ def build_wilson_dirac(gauge, mass=1.0):
     D = 2 r - (1/2) sum_mu [ U_mu(x) (r - gamma_mu) shift_+mu
                            + U_mu(x - mu)^* (r + gamma_mu) shift_-mu ]
     with r = 1, kept as its links.  Chirality-hermiticity Gamma D Gamma =
-    D^dagger is checked hop by hop, Gamma D[s, s + mu] Gamma = D[s + mu, s]^dagger;
-    a defect raises ChiralityDefectError.  An index reading needs the mass
-    inside the first doubler window 0 < m < 2; outside it the overlap counts
-    doubler branches too, so a warning is raised.
+    D^dagger holds hop by hop for any links, because the gammas are Hermitian
+    and GAMMA5 anticommutes with both gamma_mu.  An index reading needs the
+    mass inside the first doubler window 0 < m < 2; outside it the overlap
+    counts doubler branches too, so a warning is raised.
     """
     mass = float(mass)
     if not 0.0 < mass < 2.0:
         warnings.warn(f"mass {mass:g} is outside the (0, 2) window, the overlap "
                       "count will include doubler branches", stacklevel=2)
     spinor_signs = GAMMA5.diagonal().real
-    herm_defect = max(np.max(np.abs(spinor_signs[:, None] * ahead * spinor_signs
-                                    - back.conj().transpose(0, 2, 1)))
-                      for ahead, back in _hop_blocks(gauge.links))
-    if herm_defect > 1e-12:
-        raise ChiralityDefectError(f"chirality-hermiticity defect {herm_defect:.3e}")
     # the inversion reverses both hops, and GAMMA5 anticommutes with both
     # gamma_mu; the quarter turn takes gamma_1 to gamma_2 and gamma_2 to
     # -gamma_1 under diag(1, -i) (so that it squares to the inversion); the
@@ -710,11 +706,13 @@ def build_wilson_dirac(gauge, mass=1.0):
 def overlap_index(op):
     """Spectral-flow count -(1/2) tr sign(Gamma (D - m)), summed over the blocks.
 
-    Raises AmbiguousSpectrumError when the sign function is ill-defined (a
-    near-zero eigenvalue) or the half-trace misses an integer by 0.01.
+    Each of the 2 N^2 kernel eigenvalues adds -1/2 or +1/2, so the count is
+    the exact integer (negative eigenvalues) - N^2.  Raises
+    AmbiguousSpectrumError when the sign function is ill-defined (a
+    near-zero eigenvalue).
     """
-    raw = -0.5 * sum(float(np.sum(np.sign(block.kernel))) for block in op._block_spectra)
-    return _nearest_integer(raw, "half-trace")
+    negative = sum(np.count_nonzero(block.kernel < 0) for block in op._block_spectra)
+    return int(negative) - op.size**2
 
 
 def heat_kernel_system(op):

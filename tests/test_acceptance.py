@@ -15,7 +15,6 @@ from diracindex.algebra import (CLIFFORD, EXTERIOR, AlgebraContext,
 from diracindex.charclasses import (TWO_PI, a_closed_form, a_hat,
                                     block_diagonal_riemann, partition_sum,
                                     qho_generating_function)
-from diracindex.cli import main
 from diracindex.spectral import (build_torus_gauge, build_wilson_dirac,
                                  heat_kernel_system, overlap_index,
                                  pair_check, random_gauge_transform,
@@ -227,12 +226,10 @@ def test_accept_08_gauge_invariance_of_integers():
     assert moved == []
 
 
-def test_accept_09_verify_all_exit_zero_byte_stable(tmp_path):
-    first, second = tmp_path / "r1.json", tmp_path / "r2.json"
-    code1 = main(["verify-all", "--out", str(first)])
-    code2 = main(["verify-all", "--out", str(second)])
-    stable = first.read_bytes() == second.read_bytes()
-    doc = json.loads(first.read_text())
+def test_accept_09_verify_all_exit_zero_byte_stable(verify_all_twice):
+    (code1, first), (code2, second) = verify_all_twice
+    stable = first == second
+    doc = json.loads(first)
     failing = [k for k in doc if not doc[k]["pass"]]
     ok = stable and code1 == 0 and code2 == 0
     verdict("A9", "full verification exits 0 with byte-stable JSON", ok,

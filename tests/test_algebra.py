@@ -211,6 +211,33 @@ def test_clifford_trace():
     assert clifford_trace(a) == 4.0
 
 
+CTX4 = AlgebraContext(4)
+REFUSALS = {
+    "flavor": (lambda: MultiVector(CTX4, {}, "spinor"),
+               ValueError, "unknown flavor 'spinor'"),
+    "context": (lambda: MultiVector(4, {}, EXTERIOR),
+                TypeError, "context must be an AlgebraContext"),
+    "mask": (lambda: MultiVector(CTX4, {0x10: 1.0}, EXTERIOR),
+             ValueError, "mask 0x10 outside the 4-generator algebra"),
+    "operand": (lambda: wedge(CTX4.generator(1), 2.0),
+                TypeError, "expected MultiVector operands"),
+    "flavors": (lambda: clifford_mul(CTX4.generator(1, CLIFFORD), CTX4.generator(2)),
+                ValueError, "mixed flavors (clifford vs exterior)"),
+    "phi_eps_inv": (lambda: phi_eps_inv(CTX4.generator(1, CLIFFORD), 0),
+                    ValueError, "eps must be nonzero"),
+    "clifford_trace": (lambda: clifford_trace(CTX4.scalar(1.0)),
+                       TypeError, "clifford_trace needs a clifford element"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_are_named(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_chirality_squares_to_one():
     # holds for every n under this sign convention, not just even n
     for n in range(1, 5):

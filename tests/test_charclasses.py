@@ -289,6 +289,26 @@ def test_a_hat_rejects_twist():
         a_hat(F)
 
 
+CTX4 = AlgebraContext(4)
+REFUSALS = {
+    "clifford entry": (lambda: FormMatrix([[CTX4.blade([1, 2], CLIFFORD)]], TWIST),
+                       TypeError, "entries must be exterior MultiVectors"),
+    "mixed contexts": (lambda: FormMatrix([[CTX4.scalar(0.0), AlgebraContext(2).scalar(0.0)],
+                                           [CTX4.scalar(0.0), CTX4.scalar(0.0)]], TWIST),
+                       ValueError, "entries from mixed algebra contexts"),
+    "a_hat operand": (lambda: a_hat(zero_riemann(CTX4).entries),
+                      TypeError, "a_hat expects a FormMatrix"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_are_named(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_chern_character_rank_and_flux():
     ctx = AlgebraContext(2)
     F = FormMatrix([[3.0 * ctx.blade([1, 2])]], TWIST)

@@ -196,14 +196,22 @@ def test_out_of_domain_numbers_are_usage_errors(capsys, flag):
     assert err.count("\n") == 1 and f"argument {flag}:" in err
 
 
-def test_index_torus_chirality_defect_exits_3(capsys, monkeypatch):
-    from diracindex import spectral
-    monkeypatch.setattr(spectral, "GAMMA5", np.eye(2, dtype=complex))
-    code, out, err = run(capsys, "index-torus", "--q", "1")
-    assert code == 3
-    assert out == ""
-    assert err.count("\n") == 1 and "chirality-hermiticity defect" in err
-    assert "Traceback" not in err
+MALFORMED = {
+    "--m": (("index-torus", "--q", "1", "--m", "abc"),
+            "diracindex index-torus: error: argument --m: bad number 'abc'"),
+    "--tau": (("index-sphere", "--q", "1", "--tau", "0"),
+              "diracindex index-sphere: error: argument --tau: tau values must be positive"),
+    "--order": (("characteristic", "--file", str(DEMO_DIR / "torus_flux.json"), "--order", "x"),
+                "diracindex characteristic: error: argument --order: bad integer 'x'"),
+    "--cutoff": (("genfun", "--cutoff", "20,x"),
+                 "diracindex genfun: error: argument --cutoff: bad list '20,x'"),
+}
+
+
+@pytest.mark.parametrize("flag", MALFORMED)
+def test_malformed_numbers_are_usage_errors(capsys, flag):
+    argv, line = MALFORMED[flag]
+    assert run(capsys, *argv) == (2, "", line + "\n")
 
 
 def test_index_torus_csv_export(capsys, tmp_path):
@@ -505,16 +513,14 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "index-torus", "--help")[0] == 0
 
 
-def test_verify_all_byte_stable_and_honest(capsys, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    code1, _, err1 = run(capsys, "verify-all", "--out", str(a))
-    code2, _, _ = run(capsys, "verify-all", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
+def test_verify_all_byte_stable_and_honest(verify_all_twice):
+    (code1, a), (code2, b) = verify_all_twice
+    assert a == b
     # the whole document is pinned; the torus sums keep their roundoff below
     # the 1e-12 it is printed to on every BLAS kernel (the test further down)
-    assert a.read_bytes() == (DATA_DIR / "verify_all.json").read_bytes()
+    assert a == (DATA_DIR / "verify_all.json").read_bytes()
     assert code1 == code2
-    doc = json.loads(a.read_text())
+    doc = json.loads(a)
     assert list(doc) == ["algebra", "characteristic", "torus", "sphere", "genfun"]
     for name in ("algebra", "characteristic", "torus", "sphere"):
         assert doc[name]["pass"] is True

@@ -9,7 +9,7 @@ import pytest
 
 import formdsl_reference as reference
 from diracindex import algebra, formdsl
-from diracindex.algebra import EXTERIOR, AlgebraContext, MultiVector
+from diracindex.algebra import CLIFFORD, EXTERIOR, AlgebraContext, MultiVector
 from diracindex.charclasses import RIEMANN, TWIST, a_hat, chern_character
 from diracindex.formdsl import (CurvatureFormatError, DslError, _lex, evaluate,
                                 load_curvature, pretty_print, read_curvature_file)
@@ -671,6 +671,31 @@ def test_container_shape_errors(tmp_path):
     for k, doc in enumerate(bad):
         with pytest.raises(CurvatureFormatError):
             read_curvature_file(write_json(tmp_path, f"bad{k}.json", doc))
+
+
+REFUSALS = {
+    "pretty_print": (lambda tmp: pretty_print(AlgebraContext(2).generator(1, CLIFFORD)),
+                     TypeError, "pretty_print renders exterior elements"),
+    "top level": (lambda tmp: read_curvature_file(write_json(tmp, "a.json", [1])),
+                  CurvatureFormatError, "top level must be a JSON object"),
+    "metadata": (lambda tmp: read_curvature_file(
+                     write_json(tmp, "b.json", {"n": 1, "metadata": []})),
+                 CurvatureFormatError, "metadata must be an object"),
+    "name": (lambda tmp: read_curvature_file(
+                 write_json(tmp, "c.json", {"n": 1, "metadata": {"name": 3}})),
+             CurvatureFormatError, "metadata.name must be a string"),
+    "rows": (lambda tmp: read_curvature_file(
+                 write_json(tmp, "d.json", {"n": 1, "twist": "e1^e2"})),
+             CurvatureFormatError, "twist must be a list of rows"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_are_named(case, tmp_path):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message
 
 
 def test_unreadable_and_malformed_files(tmp_path):

@@ -15,7 +15,6 @@ from diracindex.spectral import (
     GAMMA2,
     GAMMA5,
     AmbiguousSpectrumError,
-    ChiralityDefectError,
     LatticeGaugeField,
     PairViolation,
     SpectralSystem,
@@ -168,6 +167,11 @@ def test_sphere_tail_bound():
         sphere_monopole_fixture(0.5, 10)
     with pytest.raises(ValueError):
         sphere_tail_bound(1, 10, 0.0)
+    # it refuses what the fixture refuses, or it would return -0.78 and 2.0
+    with pytest.raises(ValueError, match="^q must be an integer$"):
+        sphere_tail_bound(0.5, -3, 1.0)
+    with pytest.raises(ValueError, match=r"^k_max must be an integer >= 1$"):
+        sphere_tail_bound(2, -1, 1.0)
     # infinity gave a bound of 0, and an int past the float range overflowed
     for tau in (math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="tau must be positive and finite"):
@@ -175,13 +179,13 @@ def test_sphere_tail_bound():
 
 
 def test_nearest_integer_accepts_within_the_residual():
-    # the one integer check behind the plaquette flux, the half-trace and
-    # the sphere flux: a miss under INTEGER_RESIDUAL rounds, a larger one
-    # raises under the caller's name
+    # the one integer check behind the plaquette flux and the sphere flux: a
+    # miss under INTEGER_RESIDUAL rounds, a larger one raises under the
+    # caller's name
     assert _nearest_integer(3.004, "plaquette flux") == 3
-    assert _nearest_integer(-2.996, "half-trace") == -3
-    with pytest.raises(AmbiguousSpectrumError, match="^half-trace 2.500000 is not within 0.01"):
-        _nearest_integer(2.5, "half-trace")
+    assert _nearest_integer(-2.996, "sphere flux") == -3
+    with pytest.raises(AmbiguousSpectrumError, match="^sphere flux 2.500000 is not within 0.01"):
+        _nearest_integer(2.5, "sphere flux")
 
 
 def test_sphere_flux_is_the_character_integral(monkeypatch):
@@ -217,6 +221,11 @@ def test_build_torus_gauge_validation():
         LatticeGaugeField(2.0 * np.ones((2, 4, 4)))
     with pytest.raises(ValueError):
         LatticeGaugeField(np.ones((3, 4, 4)))
+    # NaN fails the modulus test; a NaN link would break the flux and the eigensolve
+    links = np.ones((2, 4, 4), dtype=complex)
+    links[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="^link phases must have unit modulus$"):
+        LatticeGaugeField(links)
 
 
 def test_constant_flux_plaquettes():
@@ -250,8 +259,15 @@ def test_gauge_transform_exactly_preserves_plaquettes():
     assert np.max(np.abs(plaquette_angles(g) - plaquette_angles(g2))) < 1e-13
     with pytest.raises(ValueError):
         gauge_transform(g, np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        gauge_transform(g, 2.0 * np.ones((8, 8), dtype=complex))
+    # a NaN phase or angle would give a field of NaN links
+    for kind, bad in ((complex, 2.0), (complex, complex(np.nan, 0.0)),
+                      (float, np.nan), (float, np.inf)):
+        phases = np.ones((8, 8), dtype=kind)
+        phases[3, 5] = bad
+        message = ("complex site phases must have unit modulus" if kind is complex
+                   else "site angles must be finite")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gauge_transform(g, phases)
 
 
 def test_random_gauge_transform_keeps_a_generators_angles():
@@ -299,6 +315,20 @@ def test_overlap_index_equals_flux():
     for q in range(-2, 3):
         g = build_torus_gauge(8, q)
         assert overlap_index(build_wilson_dirac(g)) == q
+
+
+def test_overlap_index_is_the_exact_half_trace():
+    # the count of negative kernel eigenvalues less N^2 is -(1/2) tr sign(H)
+    # of the dense kernel, as an int, on a constant-flux field, a gauge
+    # transform of it and a noise field
+    rng = np.random.default_rng(71)
+    base = build_torus_gauge(6, 2)
+    noise = LatticeGaugeField(np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6, 6))))
+    for gauge in (base, random_gauge_transform(base, rng), noise):
+        op = build_wilson_dirac(gauge)
+        half_trace = -0.5 * np.sum(np.sign(np.linalg.eigvalsh(dense_kernel(op))))
+        got = overlap_index(op)
+        assert type(got) is int and got == half_trace
 
 
 def test_overlap_circle_relation():
@@ -393,6 +423,12 @@ def test_one_kernel_eigh_per_torus_case(monkeypatch, method):
     assert len(eigh) == 4 and all(dtype == np.float64 for _, dtype in eigh)
     assert sum(dim for dim, _ in eigh) == 128 and max(dim for dim, _ in eigh) <= 33
     assert len(eigvalsh) == 8 and sum(eigvalsh) == 128
+
+
+def test_torus_case_refuses_an_unknown_method():
+    with pytest.raises(ValueError) as info:
+        run_torus_case(8, 2, method="x")
+    assert str(info.value) == "method must be 'overlap' or 'heat', got 'x'"
 
 
 def test_torus_case_memory_peak():
@@ -716,11 +752,16 @@ def test_adapted_basis_is_orthonormal_and_real(size, twisted):
     assert np.max(np.abs(full.conj().T @ full - np.eye(dim))) <= 1e-14
 
 
-def test_chirality_defect_is_a_named_error(monkeypatch):
-    import diracindex.spectral as spectral
-    monkeypatch.setattr(spectral, "GAMMA5", np.eye(2, dtype=complex))
-    with pytest.raises(ChiralityDefectError, match="chirality-hermiticity defect"):
-        build_wilson_dirac(build_torus_gauge(6, 1))
+def test_gamma_matrices_make_every_hop_chirality_hermitian():
+    # Gamma D[s, s + mu] Gamma = D[s + mu, s]^dagger for any link value,
+    # because each gamma is Hermitian and squares to 1 and GAMMA5
+    # anticommutes with gamma_1 and gamma_2; so build_wilson_dirac checks
+    # nothing per hop
+    for gamma in (GAMMA1, GAMMA2, GAMMA5):
+        assert np.array_equal(gamma, gamma.conj().T)
+        assert np.array_equal(gamma @ gamma, np.eye(2))
+    for gamma in (GAMMA1, GAMMA2):
+        assert np.array_equal(GAMMA5 @ gamma, -gamma @ GAMMA5)
 
 
 def test_wilson_assembly_matches_kron_reference():
