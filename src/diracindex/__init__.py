@@ -60,7 +60,6 @@ from .spectral import (
     plaquette_angles,
     random_gauge_transform,
     sphere_monopole_fixture,
-    sphere_tail_bound,
     topological_flux,
     witten_index,
     zero_mode_asymmetry,

@@ -74,22 +74,16 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad list {text!r}")
 
 
-def _print_report(report, fmt, tails=None):
+def _print_report(report, fmt):
     if fmt == "json":
-        doc = report.to_dict()
-        if tails is not None:
-            doc["tail_bounds"] = list(tails)
-        sys.stdout.write(canonical_json(doc))
+        sys.stdout.write(canonical_json(report.to_dict()))
         return
     print(f"case                {report.case_name}")
     print(f"analytic index      {report.analytic_index}")
     print(f"topological index   {report.topological_index}")
     print(f"pair violations     {report.pair_check_violations}")
-    for k, (tau, value) in enumerate(report.witten_values):
-        line = f"witten tau={tau:<4g}  {round_sig(value):.12g}"
-        if tails is not None:
-            line += f"   (tail bound {tails[k]:.3e})"
-        print(line)
+    for tau, value in report.witten_values:
+        print(f"witten tau={tau:<4g}  {round_sig(value):.12g}")
     print(f"plateau deviation   {report.plateau_deviation:.3e}")
     timing = " | ".join(f"{k} {v:.0f} ms" for k, v in report.timings.items())
     print(f"timings             {timing}")
@@ -119,10 +113,10 @@ def _over_budget(args, flags, need):
     return True
 
 
-def _finish_case(args, report, system, tails=None):
+def _finish_case(args, report, system):
     if args.csv:
         write_spectrum_csv(args.csv, system)
-    _print_report(report, args.format, tails=tails)
+    _print_report(report, args.format)
     return 0 if report.passed else 1
 
 
@@ -138,8 +132,8 @@ def cmd_index_sphere(args):
     if _over_budget(args, f"--q {args.q} --kmax {args.kmax}",
                     sphere_case_bytes(args.q, args.kmax)):
         return 2
-    report, tails, system = run_sphere_case(args.q, k_max=args.kmax, taus=args.tau)
-    return _finish_case(args, report, system, tails)
+    report, system = run_sphere_case(args.q, k_max=args.kmax, taus=args.tau)
+    return _finish_case(args, report, system)
 
 
 def cmd_characteristic(args):

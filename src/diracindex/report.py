@@ -14,11 +14,10 @@ import io
 import json
 import math
 import random
+import sys
 import time
-from itertools import combinations
-
-import numpy as np
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .algebra import (CLIFFORD, EXTERIOR, AlgebraContext, MultiVector,
                       clifford_mul, clifford_trace, phi_eps, phi_eps_inv,
@@ -27,10 +26,9 @@ from .charclasses import (TWIST, TWO_PI, FormMatrix, a_closed_form, a_hat,
                           block_diagonal_riemann, chern_character,
                           partition_sum, qho_generating_function,
                           splitting_oracle, zero_riemann)
-from .spectral import (_nearest_integer, build_torus_gauge,
-                       build_wilson_dirac, heat_kernel_system, overlap_index,
-                       pair_check, random_gauge_transform,
-                       sphere_monopole_fixture, sphere_tail_bound,
+from .spectral import (build_torus_gauge, build_wilson_dirac,
+                       heat_kernel_system, overlap_index, pair_check,
+                       random_gauge_transform, sphere_monopole_fixture,
                        topological_flux, witten_index, zero_mode_asymmetry)
 
 SIGNIFICANT_DIGITS = 12
@@ -86,7 +84,7 @@ class VerificationReport:
     """One verified geometry: both index routes plus the plateau record.
 
     passed requires integer agreement, zero pairing violations, and a Witten
-    plateau that meets its runner's rule (see _case_report).
+    plateau within its runner's tolerance of the index (see _case_report).
     """
 
     case_name: str
@@ -120,18 +118,19 @@ def _ms(t0):
     return (time.perf_counter() - t0) * 1000.0
 
 
-def _case_report(case_name, system, taus, analytic, topological, timings, plateau_ok):
+def _case_report(case_name, system, taus, analytic, topological, timings, tolerance):
     """One case's Witten values on the tau grid, its pairing count and verdict.
 
     passed requires the two indices to agree, no pairing violation, and
-    plateau_ok(witten_values), the runner's own plateau rule.  The Witten
+    every Witten value within tolerance of the analytic index.  The Witten
     sums and the pair check are timed as "witten".
     """
     t0 = time.perf_counter()
     witten_values = tuple((tau, witten_index(system, tau)) for tau in taus)
     violations = len(pair_check(system))
     timings["witten"] = _ms(t0)
-    passed = analytic == topological and violations == 0 and plateau_ok(witten_values)
+    passed = (analytic == topological and violations == 0
+              and _plateau_deviation(witten_values, analytic) <= tolerance)
     return VerificationReport(
         case_name=case_name,
         analytic_index=analytic,
@@ -167,53 +166,48 @@ def run_torus_case(size, q, method="overlap", taus=DEFAULT_TAUS, mass=1.0):
 
     report = _case_report(
         f"torus N={size} q={q} ({method})", system, taus, analytic, topological,
-        timings, lambda values: _plateau_deviation(values, analytic) <= PLATEAU_TOL)
+        timings, PLATEAU_TOL)
     return report, system
 
 
-def sphere_flux(curvature):
-    """Chern number of a line bundle of constant curvature on the unit sphere.
+def sphere_flux(q):
+    """Chern number of the charge-q monopole's line bundle on the unit sphere.
 
-    curvature is F's coefficient on the area form.  The integral is the top
-    coefficient of chern_character of the rank-1 twist F, F / 2 pi, times
-    the sphere's area 4 pi.  Raises AmbiguousSpectrumError when it misses
-    an integer by 0.01 or more, as topological_flux does for the torus.
+    The bundle has constant curvature q / 2 on the area form.  The integral
+    is the top coefficient of chern_character of the rank-1 twist q / 2,
+    over 2 pi, times the sphere's area 4 pi: q up to roundoff, which the
+    rounding removes.
     """
     ctx = AlgebraContext(2)
-    twist = FormMatrix([[ctx.blade((1, 2)) * curvature]], TWIST)
-    total = float((chern_character(twist).coefficient(1, 2) * 4.0 * math.pi).real)
-    return _nearest_integer(total, "sphere flux")
+    twist = FormMatrix([[ctx.blade((1, 2)) * (q / 2.0)]], TWIST)
+    return round(float((chern_character(twist).coefficient(1, 2) * 4.0 * math.pi).real))
 
 
 def run_sphere_case(q, k_max=30, taus=DEFAULT_TAUS):
-    """Monopole fixture: plateau against the flux, bounded by the truncation tail.
+    """Monopole fixture: plateau against the flux, to summation roundoff.
 
     The topological side is the Chern number of the charge-q monopole's line
-    bundle, of constant curvature q / 2 on the unit sphere (sphere_flux),
-    computed from its character.  The spectral side is a fixture whose
-    spectrum is written from its closed form (sphere_monopole_fixture), so
-    only the flux is computed.  Returns (report, tail bounds per tau,
-    fixture system).
+    bundle (sphere_flux), computed from its character.  The spectral side is
+    a fixture whose spectrum is written from its closed form
+    (sphere_monopole_fixture), so only the flux is computed.  Returns
+    (report, fixture system).
 
-    The truncation tail bounds the exact sum; evaluating a few thousand
-    heat weights in floats adds summation roundoff on top, so the plateau
-    comparison allows modes * machine-epsilon beyond the tail (~4e-13 at
-    k_max 30, far below anything the fixture is meant to resolve).
+    Every fixture level is balanced, so each Witten value is exactly the
+    zero-mode count at any cutoff and tau; summing a few thousand heat
+    weights in floats adds roundoff, so the plateau tolerance is modes *
+    machine-epsilon (~4e-13 at k_max 30).
     """
     timings = {}
     t0 = time.perf_counter()
-    topological = sphere_flux(q / 2.0)
     system = sphere_monopole_fixture(q, k_max)
+    topological = sphere_flux(q)
     analytic = zero_mode_asymmetry(system)
     timings["build"] = _ms(t0)
 
-    tails = tuple(sphere_tail_bound(q, k_max, tau) for tau in taus)
-    roundoff = system.eigenvalues.size * np.finfo(float).eps
     report = _case_report(
         f"sphere q={q} k_max={k_max}", system, taus, analytic, topological, timings,
-        lambda values: all(abs(v - topological) <= b + roundoff
-                           for (_, v), b in zip(values, tails)))
-    return report, tails, system
+        system.eigenvalues.size * sys.float_info.epsilon)
+    return report, system
 
 
 def _csv_source(source):
@@ -406,13 +400,12 @@ def stage_sphere():
     cases = []
     ok = True
     for q in range(-2, 3):
-        report, tails, _ = run_sphere_case(q, k_max=_SPHERE_KMAX)
+        report, _ = run_sphere_case(q, k_max=_SPHERE_KMAX)
         ok = ok and report.passed
         cases.append({
             "q": q,
             "asymmetry": report.analytic_index,
             "witten_values": [[t, v] for t, v in report.witten_values],
-            "tail_bounds": list(tails),
             "pair_violations": report.pair_check_violations,
             "pass": report.passed,
         })

@@ -32,9 +32,9 @@ blocks of its sign function are diagonalised, and then it and its
 eigenvectors are dropped before the next is formed.  A case holds one block
 at a time and keeps only eigenvalues.
 
-Numerical-ambiguity failures (a flux sum far from an integer, a sign
-function fed a near-zero eigenvalue, a collapsed zero/nonzero gap) raise
-AmbiguousSpectrumError rather than guess.
+Numerical-ambiguity failures (a sign function fed a near-zero eigenvalue,
+a collapsed zero/nonzero gap) raise AmbiguousSpectrumError rather than
+guess.
 """
 
 import functools
@@ -51,7 +51,6 @@ TWO_PI = 2.0 * math.pi
 ZERO_TOL = 1e-10
 CLUSTER_RELATIVE_GAP = 1e-6
 GAP_RATIO_MIN = 1e3
-INTEGER_RESIDUAL = 0.01
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -205,15 +204,6 @@ def sphere_case_bytes(q, k_max):
     return 60 * (abs(q) + 2 * k_max * (k_max + 1 + abs(q)))
 
 
-def sphere_tail_bound(q, k_max, tau):
-    """Heat weight of the first omitted fixture level times its multiplicity."""
-    _check_sphere_args(q, k_max)
-    if not 0 < tau <= sys.float_info.max:
-        raise ValueError("tau must be positive and finite")
-    lam_next = (k_max + 1) * (k_max + 1 + abs(q))
-    return (2 * (k_max + 1) + abs(q)) * math.exp(-tau / 2.0 * lam_next)
-
-
 # ---------------------------------------------------------------------------
 # constant-flux torus background
 
@@ -234,6 +224,7 @@ class LatticeGaugeField:
         links = np.asarray(self.links, dtype=complex)
         if links.ndim != 3 or links.shape[0] != 2 or links.shape[1] != links.shape[2]:
             raise ValueError("links must have shape (2, N, N)")
+        _check_lattice_size(links.shape[1])
         # NaN fails the test
         if not np.max(np.abs(np.abs(links) - 1.0)) <= 1e-12:
             raise ValueError("link phases must have unit modulus")
@@ -281,27 +272,15 @@ def plaquette_angles(gauge):
     return np.angle(hol)
 
 
-def _nearest_integer(total, what):
-    """total rounded to the nearest integer.
-
-    Raises AmbiguousSpectrumError, its message led by `what`, when total
-    misses every integer by INTEGER_RESIDUAL or more.
-    """
-    nearest = round(total)
-    if abs(total - nearest) >= INTEGER_RESIDUAL:
-        raise AmbiguousSpectrumError(
-            f"{what} {total:.6f} is not within {INTEGER_RESIDUAL} of an integer")
-    return int(nearest)
-
-
 def topological_flux(gauge):
     """Total plaquette angle over 2 pi, rounded to the nearest integer.
 
-    Raises AmbiguousSpectrumError when the sum misses an integer by 0.01 or
-    more, which means some holonomy angle wrapped off the principal branch
-    and the field is not resolving its own flux.
+    The sum is an integer for any unit links: every link enters two
+    plaquettes with opposite orientation, so the holonomies multiply to 1
+    and the principal angles add to a multiple of 2 pi.  Only float
+    roundoff is rounded away.
     """
-    return _nearest_integer(float(plaquette_angles(gauge).sum() / TWO_PI), "plaquette flux")
+    return round(float(plaquette_angles(gauge).sum() / TWO_PI))
 
 
 def gauge_transform(gauge, site_phases):
@@ -682,8 +661,12 @@ def build_wilson_dirac(gauge, mass=1.0):
     D^dagger holds hop by hop for any links, because the gammas are Hermitian
     and GAMMA5 anticommutes with both gamma_mu.  An index reading needs the
     mass inside the first doubler window 0 < m < 2; outside it the overlap
-    counts doubler branches too, so a warning is raised.
+    counts doubler branches too, so a warning is raised.  A mass that is not
+    finite is refused.
     """
+    # NaN fails the test, and so does an int past the float range
+    if not abs(mass) <= sys.float_info.max:
+        raise ValueError("mass must be finite")
     mass = float(mass)
     if not 0.0 < mass < 2.0:
         warnings.warn(f"mass {mass:g} is outside the (0, 2) window, the overlap "

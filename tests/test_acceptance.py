@@ -5,6 +5,7 @@ captured-output section of the report, passing or not.
 """
 
 import json
+import sys
 import time
 
 import numpy as np
@@ -18,9 +19,8 @@ from diracindex.charclasses import (TWO_PI, a_closed_form, a_hat,
 from diracindex.spectral import (build_torus_gauge, build_wilson_dirac,
                                  heat_kernel_system, overlap_index,
                                  pair_check, random_gauge_transform,
-                                 sphere_monopole_fixture, sphere_tail_bound,
-                                 topological_flux, witten_index,
-                                 zero_mode_asymmetry)
+                                 sphere_monopole_fixture, topological_flux,
+                                 witten_index, zero_mode_asymmetry)
 from conftest import random_multivector, random_two_form
 
 TORUS_SIZES = (8, 12)
@@ -188,20 +188,19 @@ def test_accept_06_pairing_of_nonzero_levels():
     assert violations == {}
 
 
-def test_accept_07_sphere_plateau_within_tail():
+def test_accept_07_sphere_plateau_within_roundoff():
     t0 = time.perf_counter()
     worst_excess = -np.inf
     for q in range(-2, 3):
         system = sphere_monopole_fixture(q, 30)
-        roundoff = len(system.eigenvalues) * np.finfo(float).eps
+        roundoff = len(system.eigenvalues) * sys.float_info.epsilon
         for tau in (0.5, 1.0, 2.0, 5.0):
-            bound = sphere_tail_bound(q, 30, tau) + roundoff
             worst_excess = max(worst_excess,
-                               abs(witten_index(system, tau) - q) - bound)
+                               abs(witten_index(system, tau) - q) - roundoff)
     elapsed = time.perf_counter() - t0
     ok = worst_excess <= 0.0 and elapsed < 5.0
-    verdict("A7", "monopole plateau equals the charge within truncation tail", ok,
-            f"worst excess over bound {worst_excess:.2e}, {elapsed:.1f}s")
+    verdict("A7", "monopole plateau equals the charge within roundoff", ok,
+            f"worst excess over roundoff {worst_excess:.2e}, {elapsed:.1f}s")
     assert elapsed < 5.0
     assert worst_excess <= 0.0
 

@@ -18,7 +18,6 @@ from diracindex.spectral import (
     LatticeGaugeField,
     PairViolation,
     SpectralSystem,
-    _nearest_integer,
     build_torus_gauge,
     build_wilson_dirac,
     gauge_transform,
@@ -29,7 +28,6 @@ from diracindex.spectral import (
     random_gauge_transform,
     sphere_case_bytes,
     sphere_monopole_fixture,
-    sphere_tail_bound,
     topological_flux,
     torus_case_bytes,
     witten_index,
@@ -142,67 +140,44 @@ def test_sphere_fixture_structure():
 
 
 def test_sphere_fixture_witten_is_exact():
-    for q in range(-2, 3):
-        s = sphere_monopole_fixture(q, 30)
-        assert zero_mode_asymmetry(s) == q
-        assert pair_check(s) == []
-        for tau in (0.5, 1.0, 2.0, 5.0):
-            assert abs(witten_index(s, tau) - q) < 1e-8
+    # every fixture level is balanced, so cutting the spectrum at any k_max
+    # moves no Witten value: each sits within modes * machine-epsilon of the
+    # charge, the whole of the sphere case's plateau tolerance
+    for q in range(-5, 6):
+        for k_max in (1, 2, 5, 30, 300):
+            s = sphere_monopole_fixture(q, k_max)
+            assert zero_mode_asymmetry(s) == q
+            assert pair_check(s) == []
+            roundoff = s.eigenvalues.size * sys.float_info.epsilon
+            for tau in (1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 50.0):
+                assert abs(witten_index(s, tau) - q) <= roundoff, (q, k_max, tau)
+    case, _ = run_sphere_case(-3, k_max=1, taus=(1e-3, 0.05, 50.0))
+    assert case.passed
 
 
-def test_sphere_tail_bound():
-    b1 = sphere_tail_bound(2, 3, 0.5)
-    b2 = sphere_tail_bound(2, 3, 5.0)
-    assert 0 < b2 < b1
-    assert sphere_tail_bound(2, 30, 5.0) >= 0.0  # underflows cleanly to zero
-    # the bound is the first omitted level's weight, so enlarging k_max by one
-    # and comparing the two fixtures' witten sums stays inside it
-    lo = sphere_monopole_fixture(1, 10)
-    hi = sphere_monopole_fixture(1, 11)
-    diff = abs(witten_index(hi, 0.5) - witten_index(lo, 0.5))
-    assert diff <= sphere_tail_bound(1, 10, 0.5)
-    with pytest.raises(ValueError):
-        sphere_monopole_fixture(1, 0)
-    with pytest.raises(ValueError):
-        sphere_monopole_fixture(0.5, 10)
-    with pytest.raises(ValueError):
-        sphere_tail_bound(1, 10, 0.0)
-    # it refuses what the fixture refuses, or it would return -0.78 and 2.0
-    with pytest.raises(ValueError, match="^q must be an integer$"):
-        sphere_tail_bound(0.5, -3, 1.0)
+def test_sphere_fixture_refuses_bad_arguments():
     with pytest.raises(ValueError, match=r"^k_max must be an integer >= 1$"):
-        sphere_tail_bound(2, -1, 1.0)
-    # infinity gave a bound of 0, and an int past the float range overflowed
-    for tau in (math.inf, math.nan, 10**400):
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
-            sphere_tail_bound(1, 3, tau)
-
-
-def test_nearest_integer_accepts_within_the_residual():
-    # the one integer check behind the plaquette flux and the sphere flux: a
-    # miss under INTEGER_RESIDUAL rounds, a larger one raises under the
-    # caller's name
-    assert _nearest_integer(3.004, "plaquette flux") == 3
-    assert _nearest_integer(-2.996, "sphere flux") == -3
-    with pytest.raises(AmbiguousSpectrumError, match="^sphere flux 2.500000 is not within 0.01"):
-        _nearest_integer(2.5, "sphere flux")
+        sphere_monopole_fixture(1, 0)
+    with pytest.raises(ValueError, match="^q must be an integer$"):
+        sphere_monopole_fixture(0.5, 10)
+    # the runner builds the fixture before the flux, so it refuses the same
+    with pytest.raises(ValueError, match="^q must be an integer$"):
+        run_sphere_case(0.5)
 
 
 def test_sphere_flux_is_the_character_integral(monkeypatch):
-    # the sphere's topological side is computed: a constant curvature q / 2
-    # integrates to q over the area 4 pi, a curvature that closes on no
-    # integer is refused, and a case whose flux disagrees with its zero
-    # modes fails
+    # the sphere's topological side is computed: the charge-q bundle's
+    # constant curvature q / 2 integrates to q over the area 4 pi, and a case
+    # whose flux disagrees with its zero modes fails
     from diracindex import report
 
-    assert [report.sphere_flux(q / 2.0) for q in range(-4, 5)] == list(range(-4, 5))
-    for curvature in (0.25, -0.75, 1.2):
-        with pytest.raises(AmbiguousSpectrumError, match="sphere flux"):
-            report.sphere_flux(curvature)
-    case, _, _ = run_sphere_case(2, k_max=5)
+    fluxes = [report.sphere_flux(q) for q in range(-4, 5)]
+    assert fluxes == list(range(-4, 5))
+    assert all(type(flux) is int for flux in fluxes)
+    case, _ = run_sphere_case(2, k_max=5)
     assert case.passed and case.topological_index == 2
-    monkeypatch.setattr(report, "sphere_flux", lambda curvature: round(2 * curvature) + 1)
-    case, _, _ = run_sphere_case(2, k_max=5)
+    monkeypatch.setattr(report, "sphere_flux", lambda q: q + 1)
+    case, _ = run_sphere_case(2, k_max=5)
     assert not case.passed and case.topological_index == 3
 
 
@@ -221,6 +196,11 @@ def test_build_torus_gauge_validation():
         LatticeGaugeField(2.0 * np.ones((2, 4, 4)))
     with pytest.raises(ValueError):
         LatticeGaugeField(np.ones((3, 4, 4)))
+    # the field refuses the sizes build_torus_gauge does; N = 0 died in a
+    # zero-size reduction, and N < 4 built and ran
+    for size in (0, 1, 2, 3):
+        with pytest.raises(ValueError, match="^lattice size must be an integer >= 4$"):
+            LatticeGaugeField(np.ones((2, size, size)))
     # NaN fails the modulus test; a NaN link would break the flux and the eigensolve
     links = np.ones((2, 4, 4), dtype=complex)
     links[1, 2, 3] = np.nan
@@ -240,8 +220,8 @@ def test_constant_flux_plaquettes():
 
 def test_topological_flux_is_quantized_for_any_unit_links():
     # every link enters two plaquettes with opposite orientation, so the
-    # angle sum is an exact multiple of 2 pi even for pure noise fields;
-    # the residual guard in topological_flux is a float-sanity check only
+    # angle sum is an exact multiple of 2 pi even for pure noise fields,
+    # and topological_flux only rounds away float roundoff
     rng = np.random.default_rng(2)
     for _ in range(5):
         links = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6, 6)))
@@ -302,6 +282,15 @@ def test_wilson_mass_window_warning():
         build_wilson_dirac(g, mass=2.5)
     with pytest.warns(UserWarning, match="window"):
         build_wilson_dirac(g, mass=-0.3)
+
+
+def test_wilson_refuses_a_mass_that_is_not_finite():
+    # NaN and infinity reached LAPACK, which failed to converge, and an int
+    # past the float range overflowed in float()
+    g = build_torus_gauge(6, 1)
+    for mass in (math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="^mass must be finite$"):
+            build_wilson_dirac(g, mass=mass)
 
 
 def test_overlap_refuses_mass_on_crossing():
