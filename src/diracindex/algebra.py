@@ -23,17 +23,17 @@ below(y)), where below(y) has bit k set when an odd number of y's
 generators lie under generator k; the Clifford product adds
 bitwise_count(x & y), one -1 per contracted generator.  Each result
 coefficient is summed in pair order (row-major over the two term dicts) and
-keyed in the order of its mask's first pair, which the kernel records in one
-2**dim array, so the two paths agree bit for bit, key order included.
+the result is keyed in ascending mask order, so the two paths agree bit for
+bit, key order included.
 
 A wedge of two operands that each have a single grade skips both paths when
 the grades reach ``dim``.  Past ``dim`` every pair overlaps and the product is
 zero.  At exactly ``dim`` the only disjoint partner of a left term x is its
 complement ``top ^ x``, so each left term is paired with the right operand's
 complement term, if it has one, and the top-form coefficient is summed in
-left-term order: the pairs, sum and key of the pair order, without testing
-the overlapping pairs.  Every other product, Clifford products included,
-takes one of the two paths above.
+left-term order: the pairs and sum of the pair order, without testing the
+overlapping pairs.  Every other product, Clifford products included, takes
+one of the two paths above.
 
 Operator sugar: ``^`` is wedge, ``*`` is scalar scaling or (between two
 clifford elements) the Clifford product.  Python gives ``^`` very low
@@ -86,26 +86,20 @@ def _parity_mask(y, clifford):
 
 
 def _pair_sums(ma, ca, mb, cb, size, clifford):
-    # the masks the (a term, b term) pairs land on, in the order of their
-    # first pair, and the sum of the signed coefficient products on each;
-    # a function of its own so that its 2**dim work arrays are freed before
-    # the caller builds the result dict
+    # the masks the (a term, b term) pairs land on, in ascending order, and
+    # the sum of the signed coefficient products on each; a function of its
+    # own so that its 2**dim work arrays are freed before the caller builds
+    # the result dict
     ar, ai, br, bi = ca.real[:, None], ca.imag[:, None], cb.real, cb.imag
     flips = _parity_mask(mb, clifford)
-    # first[m] = total - (row-major index of the first pair on m), 0 where no
-    # pair lands: np.maximum.at keeps the first, and no sentinel fills the array
-    acc, first = np.zeros(size, dtype=complex), np.zeros(size, dtype=np.intp)
-    total = len(ma) * len(mb)
+    acc, seen = np.zeros(size, dtype=complex), np.zeros(size, dtype=bool)
     rows = max(1, _PAIR_CHUNK // max(1, len(mb)))
     for lo in range(0, len(ma), rows):
         x, xr, xi = ma[lo:lo + rows, None], ar[lo:lo + rows], ai[lo:lo + rows]
         y, flip, yr, yi = mb, flips, br, bi
-        if clifford:
-            pair = np.arange(len(x) * len(mb))
-        else:
+        if not clifford:
             # disjoint pairs only, gathered in row-major order
-            pair = np.flatnonzero((x & mb) == 0)
-            i, j = np.divmod(pair, len(mb))
+            i, j = np.divmod(np.flatnonzero((x & mb) == 0), len(mb))
             x, xr, xi = x[i, 0], xr[i, 0], xi[i, 0]
             y, flip, yr, yi = mb[j], flips[j], br[j], bi[j]
         sign = 1.0 - 2.0 * (np.bitwise_count(x & flip) & 1)
@@ -114,16 +108,18 @@ def _pair_sums(ma, ca, mb, cb, size, clifford):
         out = (x ^ y).ravel()
         np.add.at(acc.real, out, re)
         np.add.at(acc.imag, out, im)
-        np.maximum.at(first, out, total - lo * len(mb) - pair)
-    # numpy finds the nonzeros of a bool array several times faster than of an int one
-    hit = np.flatnonzero(first != 0)
-    hit = hit[np.argsort(-first[hit])]
+        seen[out] = True
+    # numpy finds the nonzeros of a bool array several times faster than it
+    # tests complex sums; a sum that cancels to zero is left to the prune
+    hit = np.flatnonzero(seen)
     return hit, acc[hit]
 
 
 def _pair_loop(a, b, clifford):
     # the sums of _pair_sums, formed one pair at a time: CPython's complex
-    # multiply, negated on odd parity, added to 0j in pair order
+    # multiply, negated on odd parity, added to 0j in pair order; keyed in
+    # ascending mask order (most products of the curvature DSL are one pair,
+    # so one key skips the sort)
     out = {}
     get = out.get
     rows = [(y, _parity_mask(y, clifford), cy) for y, cy in b.items()]
@@ -134,7 +130,7 @@ def _pair_loop(a, b, clifford):
             c = cx * cy
             m = x ^ y
             out[m] = get(m, 0j) + (-c if (x & flip).bit_count() & 1 else c)
-    return out
+    return dict(sorted(out.items())) if len(out) > 1 else out
 
 
 def _single_grade(terms):
@@ -148,9 +144,9 @@ def _not_finite():
 
 
 def _top_wedge(a, b, dim):
-    # the terms of a ^ b when both operands have a single grade, else None;
-    # called once the grades of their first terms reach dim.  The top-form
-    # sum is the pair loop's, in row order
+    # the unpruned terms of a ^ b when both operands have a single grade,
+    # else None; called once the grades of their first terms reach dim.  The
+    # top-form sum is the pair loop's, in row order
     ga, gb = _single_grade(a), _single_grade(b)
     if ga is None or gb is None:
         return None
@@ -169,12 +165,7 @@ def _top_wedge(a, b, dim):
         if cy is not None:
             c = cx * cy
             acc = acc + (-c if ((x & _ODD_BITS).bit_count() + flip) & 1 else c)
-    size = abs(acc)
-    if not size < _INF:
-        raise _not_finite()
-    # the pair paths' relative prune, on one term: no pair, or pairs that
-    # cancel exactly, leave a zero that it drops
-    return {top: acc} if size > PRUNE_RELATIVE * size else {}
+    return {top: acc}
 
 
 def _product_terms(a, b, dim, clifford):
@@ -186,48 +177,48 @@ def _product_terms(a, b, dim, clifford):
     larger products go through the numpy kernel.  There coefficients
     multiply in real arithmetic as CPython's complex product does (numpy's
     complex multiply can differ in the last bit), and ``np.add.at`` adds
-    them up one pair at a time, in pair order, and one 2**dim array records
-    each mask's first pair.  Pruning uses ``np.hypot``, CPython's ``abs`` of
-    a complex.  Either way the result dict is built once, in the order of
-    each mask's first pair, holding nonzero complex values.
+    them up one pair at a time, in pair order.  Pruning uses ``np.hypot``,
+    CPython's ``abs`` of a complex.  Either way the result dict is built
+    once, in ascending mask order, holding nonzero complex values.
     A wedge of single-grade operands whose grades reach the dimension takes
-    neither path (``_top_wedge``, module docstring).  A coefficient that is
-    infinite or NaN raises ``OverflowError``: a relative prune against it
-    would drop every term.
+    neither pair path (``_top_wedge``, module docstring), and its term is
+    finished as the loop's are.  A coefficient that is infinite or NaN
+    raises ``OverflowError``: a relative prune against it would drop every
+    term.
     """
+    terms = None
     if (not clifford and a and b
             and next(iter(a)).bit_count() + next(iter(b)).bit_count() >= dim):
         terms = _top_wedge(a, b, dim)
-        if terms is not None:
-            return terms
-    if len(a) * len(b) <= _LOOP_PAIRS:
-        terms = _pair_loop(a, b, clifford)
-        if terms:
-            sizes = list(map(abs, terms.values()))
-            top, total = max(sizes), sum(sizes)
-            # a NaN after the first term hides from max, never from sum
-            if not top < _INF or total != total:
+    if terms is None and len(a) * len(b) > _LOOP_PAIRS:
+        # an overflow shows as a non-finite coefficient, refused below, not
+        # as numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            hit, coeffs = _pair_sums(np.fromiter(a, np.intp, len(a)),
+                                     np.fromiter(a.values(), complex, len(a)),
+                                     np.fromiter(b, np.intp, len(b)),
+                                     np.fromiter(b.values(), complex, len(b)),
+                                     1 << dim, clifford)
+            magnitude = np.hypot(coeffs.real, coeffs.imag)
+        if hit.size:
+            top = magnitude.max()
+            if not top < _INF:
                 raise _not_finite()
-            cut = PRUNE_RELATIVE * top
-            if min(sizes) <= cut:
-                terms = {m: c for (m, c), size in zip(terms.items(), sizes) if size > cut}
-        return terms
-    # an overflow shows as a non-finite coefficient, refused below, not as
-    # numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        hit, coeffs = _pair_sums(np.fromiter(a, np.intp, len(a)),
-                                 np.fromiter(a.values(), complex, len(a)),
-                                 np.fromiter(b, np.intp, len(b)),
-                                 np.fromiter(b.values(), complex, len(b)),
-                                 1 << dim, clifford)
-        magnitude = np.hypot(coeffs.real, coeffs.imag)
-    if hit.size:
-        top = magnitude.max()
-        if not top < _INF:
+            keep = magnitude > PRUNE_RELATIVE * top
+            hit, coeffs = hit[keep], coeffs[keep]
+        return dict(zip(hit.tolist(), coeffs.tolist()))
+    if terms is None:
+        terms = _pair_loop(a, b, clifford)
+    if terms:
+        sizes = list(map(abs, terms.values()))
+        top, total = max(sizes), sum(sizes)
+        # a NaN after the first term hides from max, never from sum
+        if not top < _INF or total != total:
             raise _not_finite()
-        keep = magnitude > PRUNE_RELATIVE * top
-        hit, coeffs = hit[keep], coeffs[keep]
-    return dict(zip(hit.tolist(), coeffs.tolist()))
+        cut = PRUNE_RELATIVE * top
+        if min(sizes) <= cut:
+            terms = {m: c for (m, c), size in zip(terms.items(), sizes) if size > cut}
+    return terms
 
 
 def _product(a, b, clifford):

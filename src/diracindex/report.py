@@ -178,12 +178,14 @@ def sphere_flux(q):
     over 2 pi, times the sphere's area 4 pi: q up to roundoff, which the
     rounding removes.
     """
+    if not isinstance(q, int):
+        raise ValueError("q must be an integer")
     ctx = AlgebraContext(2)
     twist = FormMatrix([[ctx.blade((1, 2)) * (q / 2.0)]], TWIST)
     return round(float((chern_character(twist).coefficient(1, 2) * 4.0 * math.pi).real))
 
 
-def run_sphere_case(q, k_max=30, taus=DEFAULT_TAUS):
+def run_sphere_case(q, k_max=_SPHERE_KMAX, taus=DEFAULT_TAUS):
     """Monopole fixture: plateau against the flux, to summation roundoff.
 
     The topological side is the Chern number of the charge-q monopole's line
@@ -236,7 +238,7 @@ def write_spectrum_csv(path, system):
 
 
 # ---------------------------------------------------------------------------
-# verify-all stages.  Each returns (json section, ok).
+# verify-all stages.  Each returns its json section, whose "pass" is its verdict.
 
 
 @functools.lru_cache(maxsize=16)
@@ -308,7 +310,7 @@ def stage_algebra():
 
     ok = (max(anti_dev, trace_dev, assoc_dev) <= ALGEBRA_TOL
           and all(80.0 <= r <= 120.0 for r in ratios))
-    section = {
+    return {
         "anticommutator_max_dev": anti_dev,
         "basis_trace_max_dev": trace_dev,
         "associativity_max_dev": assoc_dev,
@@ -316,7 +318,6 @@ def stage_algebra():
         "phi_defect_ratios": ratios,
         "pass": ok,
     }
-    return section, ok
 
 
 def stage_characteristic():
@@ -345,14 +346,13 @@ def stage_characteristic():
     flux_dev = abs(integral - 3.0)
 
     ok = oracle_dev <= ORACLE_TOL and flat_dev == 0.0 and flux_dev <= 1e-12
-    section = {
+    return {
         "ahat_vs_oracle_dev": oracle_dev,
         "ahat_flat_dev": flat_dev,
         "chern_flux_integral": integral.real,
         "chern_flux_dev": flux_dev,
         "pass": ok,
     }
-    return section, ok
 
 
 def stage_torus():
@@ -386,13 +386,12 @@ def stage_torus():
                 or zero_mode_asymmetry(heat_kernel_system(op)) != 2):
             changes += 1
     ok = ok and changes == 0
-    section = {
+    return {
         "cases": cases,
         "gauge_sweep": {"N": 8, "q": 2, "transforms": 20,
                         "integer_changes": changes},
         "pass": ok,
     }
-    return section, ok
 
 
 def stage_sphere():
@@ -409,8 +408,7 @@ def stage_sphere():
             "pair_violations": report.pair_check_violations,
             "pass": report.passed,
         })
-    section = {"k_max": _SPHERE_KMAX, "cases": cases, "pass": ok}
-    return section, ok
+    return {"k_max": _SPHERE_KMAX, "cases": cases, "pass": ok}
 
 
 def genfun_table(ys, cutoffs):
@@ -441,13 +439,12 @@ def genfun_table(ys, cutoffs):
 
 def stage_genfun():
     rows, partition_devs, converged, ok = genfun_table(_GENFUN_YS, _GENFUN_CUTOFFS)
-    section = {
+    return {
         "rows": [row for y_rows in rows for row in y_rows],
         "partition_check_max_dev": max(partition_devs),
         "converged_at_max_cutoff": converged,
         "pass": ok,
     }
-    return section, ok
 
 
 _STAGES = (
@@ -468,7 +465,7 @@ def run_verify_all():
     doc, timings, passed = {}, {}, True
     for name, fn in _STAGES:
         t0 = time.perf_counter()
-        doc[name], ok = fn()
+        doc[name] = fn()
         timings[name] = _ms(t0)
-        passed = passed and ok
+        passed = passed and doc[name]["pass"]
     return doc, 0 if passed else 1, timings

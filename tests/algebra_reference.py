@@ -1,10 +1,11 @@
 """Dictionary pair-loop reference route for the two algebra products.
 
-The package forms ``wedge`` and ``clifford_mul`` in one numpy kernel over
-chunks of term pairs.  This route loops over the pairs in Python, one
-reordering sign per pair from a bit loop, and accumulates into a dict in
-pair order; the kernel is tested to equal it bit for bit, key order
-included.
+The package forms ``wedge`` and ``clifford_mul`` in a dictionary loop or,
+on many term pairs, in one numpy kernel over chunks of pairs.  This route
+loops over the pairs in Python, one reordering sign per pair from a bit
+loop, and accumulates into a dict in pair order; both package paths are
+tested to equal it bit for bit, key order included: each keys its result in
+ascending mask order.
 """
 
 from diracindex.algebra import CLIFFORD, PRUNE_RELATIVE, MultiVector, _common_context
@@ -23,10 +24,11 @@ def _reorder_sign(a, b):
 
 
 def _prune(terms):
+    # the terms above the relative cut, in ascending mask order
     if not terms:
         return terms
     cut = PRUNE_RELATIVE * max(abs(c) for c in terms.values())
-    return {m: c for m, c in terms.items() if abs(c) > cut}
+    return {m: c for m, c in sorted(terms.items()) if abs(c) > cut}
 
 
 def wedge(a, b):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracindex import report
+from diracindex import algebra, report
 from diracindex.cli import main
 from diracindex.report import SIGNIFICANT_DIGITS, write_spectrum_csv
 from diracindex.spectral import (SpectralSystem, build_torus_gauge, build_wilson_dirac,
@@ -454,15 +454,28 @@ def test_characteristic_non_finite_input_exits_4(capsys, tmp_path, text, which, 
 
 
 @pytest.mark.parametrize("name,which", [("two_blocks", "ahat"), ("two_blocks", "density"),
-                                        ("torus_flux", "chern"), ("torus_flux", "density")])
-def test_characteristic_json_is_pinned(capsys, name, which):
-    # the bytes in tests/data were written before expressions were evaluated
-    # on term dicts; this path calls no BLAS, so they hold on every host
+                                        ("torus_flux", "chern"), ("torus_flux", "density"),
+                                        ("seeded_dim8", "density")])
+def test_characteristic_json_is_pinned(capsys, monkeypatch, name, which):
+    # this path calls no BLAS, so the bytes in tests/data hold on every host.
+    # The demo files' products are all small enough for the dictionary loop;
+    # tests/data/seeded_dim8.json (perfbench.inputs.curvature_case at
+    # default_rng(8), dim 8) also reaches the numpy kernel
+    calls = []
+    kernel = algebra._pair_sums
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(algebra, "_pair_sums", spy)
+    source = DATA_DIR if name == "seeded_dim8" else DEMO_DIR
     pinned = DATA_DIR / f"characteristic_{name}_{which}.json"
-    code, out, _ = run(capsys, "characteristic", "--file", str(DEMO_DIR / f"{name}.json"),
+    code, out, _ = run(capsys, "characteristic", "--file", str(source / f"{name}.json"),
                        "--which", which, "--format", "json")
     assert code == 0
     assert out == pinned.read_text(encoding="utf-8")
+    assert bool(calls) == (name == "seeded_dim8")
 
 
 def test_genfun_table_converges_but_misses_target(capsys):

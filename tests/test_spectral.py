@@ -174,6 +174,10 @@ def test_sphere_flux_is_the_character_integral(monkeypatch):
     fluxes = [report.sphere_flux(q) for q in range(-4, 5)]
     assert fluxes == list(range(-4, 5))
     assert all(type(flux) is int for flux in fluxes)
+    # an unquantized charge is refused, not rounded (0.5 -> 0, 1.5 -> 2, 3.2 -> 3)
+    for q in (0.5, 1.5, 3.2):
+        with pytest.raises(ValueError, match="^q must be an integer$"):
+            report.sphere_flux(q)
     case, _ = run_sphere_case(2, k_max=5)
     assert case.passed and case.topological_index == 2
     monkeypatch.setattr(report, "sphere_flux", lambda q: q + 1)
