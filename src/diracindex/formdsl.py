@@ -348,6 +348,8 @@ def read_curvature_file(path):
             doc = json.load(fh)
     except OSError as exc:
         raise CurvatureFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CurvatureFormatError(f"{path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CurvatureFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

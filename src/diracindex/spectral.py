@@ -6,12 +6,12 @@ A graded spectrum (SpectralSystem) is two arrays of one length, the
 eigenvalues and their chiralities; an eigenvalue at or below ZERO_TOL is a
 zero mode, everywhere.
 
-Three independent integers are computable here for a lattice background and
-are asserted equal by the verification layer: the plaquette-angle flux, the
-spectral-flow count of the Wilson-overlap construction, and the zero-mode
-chirality asymmetry of the squared overlap spectrum.  Heat sums over that
-spectrum are then tau-independent up to truncation noise, which is the
-pairing statement made quantitative by ``pair_check``.
+Three integers are computed for a lattice background and asserted equal by
+the verification layer: the plaquette-angle flux, the spectral-flow count of
+the Wilson-overlap construction, and the zero-mode chirality asymmetry of
+the squared overlap spectrum.  Only flux = overlap tests the field: the
+asymmetry equals the overlap count and the heat spectrum is paired (its sums
+flat in tau to roundoff) for any links, as heat_kernel_system shows.
 
 Both lattice counts read one eigendecomposition of H = Gamma (D - m): the
 overlap count is -(1/2) tr sign(H), the squared overlap spectrum comes off
@@ -25,16 +25,12 @@ N^2); the x-reflection combined with complex conjugation maps each block
 to itself and makes it real symmetric.  Every constant-flux background has
 all three, so a case costs four real eigensolves of about N^2 / 2; a field
 with none keeps one complex block of size 2 N^2.  Each block is joined
-straight from the nonzeros of D - m, at most two basis columns a row, by its
-own bincount, so no (2 N^2)-square or (2 N^2, k) array is formed.  The
-blocks are streamed: each is assembled and diagonalised, the chirality
-blocks of its sign function are diagonalised, and then it and its
-eigenvectors are dropped before the next is formed.  A case holds one block
-at a time and keeps only eigenvalues.
+from the nonzeros of D - m (_kernel_blocks), and the blocks are streamed
+(WilsonDiracOperator): a case holds one at a time, keeps only eigenvalues
+and forms no (2 N^2)-square or (2 N^2, k) array.
 
 Numerical-ambiguity failures (a sign function fed a near-zero eigenvalue,
-a collapsed zero/nonzero gap) raise AmbiguousSpectrumError rather than
-guess.
+a collapsed zero/nonzero gap) raise AmbiguousSpectrumError rather than guess.
 """
 
 import functools
@@ -145,7 +141,8 @@ def pair_check(system):
     Degenerate clusters are formed by relative gap 1e-6 after the zero modes
     (at or below ZERO_TOL) are set aside.  Returns the list of unbalanced
     clusters as PairViolation records; an empty list is the supersymmetric-
-    pairing statement.  Violations are data, not errors.
+    pairing statement.  On a lattice spectrum it holds for any links
+    (heat_kernel_system), so a violation there means a failed eigensolve.
     """
     nonzero = system.eigenvalues > ZERO_TOL
     order = np.argsort(system.eigenvalues[nonzero])
@@ -708,9 +705,12 @@ def heat_kernel_system(op):
     structure).  The lattice symmetries commute with Gamma and S, so each
     symmetry block of the kernel splits the same way; one eigvalsh of each
     chirality block of S in each symmetry block gives the whole spectrum,
-    every chirality exact by construction.  Eigenvalues at or below
-    ZERO_TOL are reported as exact zero modes, before the spectrum is
-    sorted by eigenvalue, then chirality.
+    every chirality exact by construction.  For any links, the CS
+    decomposition of each block's eigenvectors (rows by chirality, columns by
+    kernel sign) makes its asymmetry (+ chirality rows) - (positive
+    eigenvalues), overlap_index in all, and pairs every nonzero mode.
+    Eigenvalues at or below ZERO_TOL are reported as exact zero modes,
+    before the spectrum is sorted by eigenvalue, then chirality.
 
     The branch at exactly 4 m^2, the far end of the overlap circle (S_++ =
     +1 or S_-- = -1), is a pure lattice artifact (it hosts the chirality

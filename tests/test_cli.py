@@ -386,6 +386,17 @@ def test_characteristic_error_line_matches_its_data_file(capsys):
     assert err == (DATA_DIR / "characteristic_paren_wedge.stderr").read_text(encoding="utf-8")
 
 
+def test_characteristic_non_utf8_file_is_a_curvature_error(capsys, monkeypatch):
+    # one 0xff byte: a file error, exit 4, not a usage error; the relative
+    # path is the one CI passes, so the line matches its data file
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, "characteristic", "--file", "tests/data/curvature_not_utf8.json")
+    assert (code, out) == (4, "")
+    assert err == ("curvature input error: tests/data/curvature_not_utf8.json is not UTF-8: "
+                   "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+    assert err == (DATA_DIR / "characteristic_not_utf8.stderr").read_text(encoding="utf-8")
+
+
 def test_characteristic_deep_or_long_expressions(capsys, tmp_path):
     cell = " + ".join(["0.001*e1^e2"] * 1500)
     long = tmp_path / "long.json"
@@ -539,6 +550,22 @@ def test_verify_all_byte_stable_and_honest(verify_all_twice):
         assert doc[name]["pass"] is True
     # the exit code is 0 exactly when every category, genfun included, passes
     assert code1 == (0 if doc["genfun"]["pass"] else 1)
+
+
+@pytest.mark.parametrize("tolerance, stage", [
+    ("ALGEBRA_TOL", "algebra"),
+    ("ORACLE_TOL", "characteristic"),
+    ("PLATEAU_TOL", "torus"),
+    ("GENFUN_TOL", "genfun"),
+    ("PARTITION_TOL", "genfun"),
+])
+def test_each_tolerance_governs_its_own_stage(monkeypatch, tolerance, stage):
+    # every deviation the tolerance bounds is above 0 at the seed (the
+    # associativity 1.4e-15, the oracle 8.7e-19, each unrounded torus
+    # plateau, genfun at y = 0.5 2.2e-7, the partition sums 1.1e-16), so
+    # a zero bound must fail the stage whose rows read it
+    monkeypatch.setattr(report, tolerance, 0.0)
+    assert getattr(report, f"stage_{stage}")()["pass"] is False
 
 
 def run_child(argv, **env):

@@ -664,6 +664,25 @@ def test_index_and_spectrum_are_gauge_invariant_over_seeded_fields():
                           ) <= 1e-12, (size, q, mass)
 
 
+def test_asymmetry_and_pairing_are_identities_on_rough_fields():
+    # on link noise (no lattice symmetry, one complex block) the asymmetry
+    # equals the overlap count and every nonzero mode pairs, as the CS
+    # decomposition of the block's eigenvectors requires for any links;
+    # the flux is the only side that can disagree, and here it does
+    rng = np.random.default_rng(2601)
+    flux_differs = 0
+    for _ in range(20):
+        size = int(rng.choice([4, 6, 8]))
+        field = LatticeGaugeField(np.exp(1j * rng.uniform(-np.pi, np.pi, (2, size, size))))
+        op = build_wilson_dirac(field)
+        assert op.symmetries == ()
+        heat = heat_kernel_system(op)
+        assert zero_mode_asymmetry(heat) == overlap_index(op)
+        assert pair_check(heat) == []
+        flux_differs += topological_flux(field) != overlap_index(op)
+    assert flux_differs >= 1
+
+
 def test_noise_field_takes_one_complex_block(monkeypatch):
     rng = np.random.default_rng(9)
     links = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 6, 6)))
