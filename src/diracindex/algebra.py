@@ -16,15 +16,20 @@ products are never silently mixed.
 
 Both products take one of two paths, picked by the number of term pairs.
 Up to ``_LOOP_PAIRS`` pairs a dictionary loop over the pairs forms the
-product; larger products run through one numpy kernel over chunks of term
-pairs, whose fixed cost of numpy calls only pays off on many pairs.  On both
-paths the sign of the pair (x, y) is the parity of bitwise_count(x &
-below(y)), where below(y) has bit k set when an odd number of y's
-generators lie under generator k; the Clifford product adds
-bitwise_count(x & y), one -1 per contracted generator.  Each result
-coefficient is summed in pair order (row-major over the two term dicts) and
-the result is keyed in ascending mask order, so the two paths agree bit for
-bit, key order included.
+product; larger products run through a numpy kernel in steps, whose fixed
+cost of numpy calls only pays off on many pairs.  A Clifford product keeps
+every pair, and each step broadcasts rows of the left operand against the
+whole right one, ``_PAIR_CHUNK`` pairs a step.  A wedge keeps only the
+disjoint pairs: the kernel tests ``_TEST_CHUNK`` pairs a step on 16-bit
+copies of the masks, takes the kept ones in row-major order, and sums them
+``_KEPT_CHUNK`` kept pairs a step, so its summing steps are sized by the
+pairs kept, not by the pairs tested.  On both paths the sign of the pair
+(x, y) is the parity of bitwise_count(x & below(y)), where below(y) has bit
+k set when an odd number of y's generators lie under generator k; the
+Clifford product adds bitwise_count(x & y), one -1 per contracted
+generator.  Each result coefficient is summed in pair order (row-major over
+the two term dicts) and the result is keyed in ascending mask order, so the
+two paths agree bit for bit, key order included.
 
 A wedge of two operands that each have a single grade skips both paths when
 the grades reach ``dim``.  Past ``dim`` every pair overlaps and the product is
@@ -56,10 +61,21 @@ _INF = float("inf")
 
 _FLAVOR_SEP = {EXTERIOR: "^", CLIFFORD: "*"}
 
-# term pairs per step of the product kernel (rows of a times all of b, at
+# term pairs per step of the Clifford kernel (rows of a times all of b, at
 # least one row): large enough to amortise the numpy calls, small enough
 # that a step's temporaries stay near 1 MB
 _PAIR_CHUNK = 16384
+
+# term pairs per disjointness test of the wedge kernel (rows of a times all
+# of b, at least one row), on 16-bit masks: a 512 KB and a 256 KB
+# temporary, and up to 2 MB of kept-pair indices
+_TEST_CHUNK = 1 << 18
+
+# kept pairs per summing step of the wedge kernel: each gathered array of a
+# step holds at most 64 KB (4096 complex coefficients).  At 16384 they reach
+# 128-256 KB, which malloc serves with fresh pages on every step: about 480
+# page faults per 495 x 495-term wedge at dim 12, against none at 4096
+_KEPT_CHUNK = 4096
 
 # products of at most this many term pairs skip the kernel: below it the
 # kernel's fixed cost of numpy calls outweighs a Python loop over the pairs
@@ -90,18 +106,12 @@ def _pair_sums(ma, ca, mb, cb, size, clifford):
     # the sum of the signed coefficient products on each; a function of its
     # own so that its 2**dim work arrays are freed before the caller builds
     # the result dict
-    ar, ai, br, bi = ca.real[:, None], ca.imag[:, None], cb.real, cb.imag
     flips = _parity_mask(mb, clifford)
     acc, seen = np.zeros(size, dtype=complex), np.zeros(size, dtype=bool)
-    rows = max(1, _PAIR_CHUNK // max(1, len(mb)))
-    for lo in range(0, len(ma), rows):
-        x, xr, xi = ma[lo:lo + rows, None], ar[lo:lo + rows], ai[lo:lo + rows]
-        y, flip, yr, yi = mb, flips, br, bi
-        if not clifford:
-            # disjoint pairs only, gathered in row-major order
-            i, j = np.divmod(np.flatnonzero((x & mb) == 0), len(mb))
-            x, xr, xi = x[i, 0], xr[i, 0], xi[i, 0]
-            y, flip, yr, yi = mb[j], flips[j], br[j], bi[j]
+
+    def add(x, cx, y, flip, cy):
+        # one step of pairs, in pair order, broadcast or gathered
+        xr, xi, yr, yi = cx.real, cx.imag, cy.real, cy.imag
         sign = 1.0 - 2.0 * (np.bitwise_count(x & flip) & 1)
         re = ((xr * yr - xi * yi) * sign).ravel()
         im = ((xr * yi + xi * yr) * sign).ravel()
@@ -109,6 +119,29 @@ def _pair_sums(ma, ca, mb, cb, size, clifford):
         np.add.at(acc.real, out, re)
         np.add.at(acc.imag, out, im)
         seen[out] = True
+
+    nb = len(mb)
+    if clifford:
+        # every pair is kept: rows of a times all of b, broadcast
+        rows = max(1, _PAIR_CHUNK // nb)
+        for lo in range(0, len(ma), rows):
+            add(ma[lo:lo + rows, None], ca[lo:lo + rows, None], mb, flips, cb)
+    else:
+        # the disjoint pairs in row-major order: tested many rows a step on
+        # 16-bit copies of the masks (all below 2**16), then gathered and
+        # summed _KEPT_CHUNK kept pairs a step.  Row and column come from a
+        # floor division and a subtraction; np.divmod takes several times
+        # as long
+        a16, b16 = ma.astype(np.uint16), mb.astype(np.uint16)
+        rows = max(1, _TEST_CHUNK // nb)
+        for lo in range(0, len(ma), rows):
+            kept = np.flatnonzero((a16[lo:lo + rows, None] & b16) == 0)
+            kept += lo * nb
+            for k in range(0, len(kept), _KEPT_CHUNK):
+                step = kept[k:k + _KEPT_CHUNK]
+                i = step // nb
+                j = step - i * nb
+                add(ma[i], ca[i], mb[j], flips[j], cb[j])
     # numpy finds the nonzeros of a bool array several times faster than it
     # tests complex sums; a sum that cancels to zero is left to the prune
     hit = np.flatnonzero(seen)

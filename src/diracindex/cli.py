@@ -16,6 +16,7 @@ import cmath
 import functools
 import math
 import sys
+import warnings
 
 from .charclasses import _valid_cap, a_hat, chern_character, index_density
 from .formdsl import DslError, load_curvature, pretty_print, read_curvature_file
@@ -123,8 +124,17 @@ def _finish_case(args, report, system):
 def cmd_index_torus(args):
     if _over_budget(args, f"--N {args.N}", torus_case_bytes(args.N)):
         return 2
-    report, system = run_torus_case(args.N, args.q, method=args.method,
-                                    taus=args.tau, mass=args.m)
+    # a mass outside the (0, 2) window warns; each warning is one plain
+    # stderr line, without Python's path, line number and source line, and
+    # shows on every call, not once a process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report, system = run_torus_case(args.N, args.q, method=args.method,
+                                            taus=args.tau, mass=args.m)
+        finally:
+            for warning in caught:
+                print(f"{args.command}: warning: {warning.message}", file=sys.stderr)
     return _finish_case(args, report, system)
 
 

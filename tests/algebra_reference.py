@@ -1,7 +1,7 @@
 """Dictionary pair-loop reference route for the two algebra products.
 
 The package forms ``wedge`` and ``clifford_mul`` in a dictionary loop or,
-on many term pairs, in one numpy kernel over chunks of pairs.  This route
+on many term pairs, in a numpy kernel over steps of pairs.  This route
 loops over the pairs in Python, one reordering sign per pair from a bit
 loop, and accumulates into a dict in pair order; both package paths are
 tested to equal it bit for bit, key order included: each keys its result in

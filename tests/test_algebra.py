@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,10 @@ from diracindex.algebra import (
     supertrace,
     wedge,
 )
+from diracindex.charclasses import a_hat
+from diracindex.formdsl import load_curvature, read_curvature_file
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def _drawn_terms(rng, masks, n_terms):
@@ -351,8 +357,10 @@ def _assert_same(new, old):
     assert _bits(new) == _bits(old)
 
 
-def _element(ctx, rng, flavor, n_terms, integer=False):
-    masks = rng.choice(ctx.top_mask + 1, size=n_terms, replace=False)
+def _element(ctx, rng, flavor, n_terms, integer=False, masks=None):
+    if masks is None:
+        masks = rng.choice(ctx.top_mask + 1, size=n_terms, replace=False)
+    n_terms = len(masks)
     if integer:  # small integers, so that sums cancel to exactly 0
         parts = rng.integers(-2, 3, (n_terms, 2)).astype(float)
     else:
@@ -388,23 +396,108 @@ def test_products_equal_pair_loop(dim, product, loop, flavor, monkeypatch):
 
 
 def test_products_spanning_many_chunks_equal_pair_loop(monkeypatch):
+    calls = []
+    kernel = algebra._pair_sums
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(algebra, "_pair_sums", spy)
+
+    def check(product, a, b, loop=None):
+        # the kernel path against the dictionary loop (_pair_loop): masks,
+        # key order and coefficient bits; and both against the reference
+        calls.clear()
+        via_kernel, via_loop = [product(a, b) for _ in _paths(monkeypatch)]
+        assert len(calls) == 1
+        _assert_same(via_kernel, via_loop)
+        if loop is not None:
+            _assert_same(via_kernel, loop(a, b))
+        return via_kernel
+
     rng = np.random.default_rng(31)
     ctx = AlgebraContext(12)
-    for _ in _paths(monkeypatch):
-        for product, loop, flavor in PRODUCTS:
-            # 400 x 300 pairs: 8 chunks of the kernel as it ships
-            a, b = _element(ctx, rng, flavor, 400), _element(ctx, rng, flavor, 300)
-            assert len(a.terms) * len(b.terms) > 4 * algebra._PAIR_CHUNK
-            _assert_same(product(a, b), loop(a, b))
-    # tiny chunks: several rows a chunk, and one row wider than a chunk
+    for product, loop, flavor in PRODUCTS:
+        # 400 x 300 pairs: 8 Clifford steps of the kernel as it ships
+        a, b = _element(ctx, rng, flavor, 400), _element(ctx, rng, flavor, 300)
+        assert len(a.terms) * len(b.terms) > 4 * algebra._PAIR_CHUNK
+        check(product, a, b, loop)
+    # a wedge over two test steps as the kernel ships, whose kept pairs span
+    # several summing steps of each
+    ctx = AlgebraContext(16)
+    low = [m for m in range(1 << 16) if m.bit_count() <= 3]
+    a = _element(ctx, rng, EXTERIOR, 0, masks=rng.choice(low, 520, replace=False))
+    b = _element(ctx, rng, EXTERIOR, 510)
+    assert algebra._TEST_CHUNK < 520 * 510 < 2 * algebra._TEST_CHUNK
+    assert sum(not x & y for x in a.terms for y in b.terms) > 4 * algebra._KEPT_CHUNK
+    check(wedge, a, b)
+    # tiny steps: kept pairs straddle test steps and summing steps, a row is
+    # wider than a test step (1 x 60, 40 x 30), no pair is kept, every pair is
+    # kept (a scalar operand), and the operands mix grades
     monkeypatch.setattr(algebra, "_PAIR_CHUNK", 7)
-    for _ in _paths(monkeypatch):
+    monkeypatch.setattr(algebra, "_TEST_CHUNK", 10)
+    monkeypatch.setattr(algebra, "_KEPT_CHUNK", 3)
+    for dim in (8, 12, 16):
+        ctx = AlgebraContext(dim)
+        odd = np.arange(1, 1 << dim, 2)  # every mask holds e1
         for product, loop, flavor in PRODUCTS:
             for na, nb in ((40, 3), (40, 30), (1, 60), (60, 1)):
                 for integer in (False, True):
                     a = _element(ctx, rng, flavor, na, integer)
                     b = _element(ctx, rng, flavor, nb, integer)
-                    _assert_same(product(a, b), loop(a, b))
+                    check(product, a, b, loop)
+            a = _element(ctx, rng, flavor, 0, masks=rng.choice(odd, 20, replace=False))
+            b = _element(ctx, rng, flavor, 0, masks=rng.choice(odd, 15, replace=False))
+            out = check(product, a, b, loop)
+            assert product is clifford_mul or out.is_zero()
+            scalar = _element(ctx, rng, flavor, 0, masks=[0])
+            b = _element(ctx, rng, flavor, 40)
+            for x, y in ((scalar, b), (b, scalar)):
+                assert len(check(product, x, y, loop).terms) == len(b.terms)
+            # one term of every grade, each side
+            a = _element(ctx, rng, flavor, 0, masks=[(1 << g) - 1 for g in range(dim + 1)])
+            b = _element(ctx, rng, flavor, 0,
+                         masks=[((1 << g) - 1) << (dim - g) for g in range(dim + 1)])
+            check(product, a, b, loop)
+            check(product, b, a, loop)
+
+
+def test_wedge_kernel_steps_are_sized_by_kept_pairs(monkeypatch):
+    # the exponent square of a dim-12 series_exp: 991 x 991 terms, of which
+    # about 35,600 pairs are disjoint.  The kernel tests _TEST_CHUNK pairs a
+    # step and sums the kept ones _KEPT_CHUNK a step, two np.add.at calls
+    # each, so the summing steps are set by the kept pairs alone
+    adds = []
+
+    class counted_add:
+        @staticmethod
+        def at(*args):
+            adds.append(len(args[1]))
+            np.add.at(*args)
+
+    monkeypatch.setattr(algebra, "np", types.SimpleNamespace(**{**vars(np), "add": counted_add}))
+    squares = []
+    kernel = algebra._pair_sums
+
+    def spy(ma, ca, mb, cb, size, clifford):
+        before = len(adds)
+        out = kernel(ma, ca, mb, cb, size, clifford)
+        if len(ma) == len(mb) == 991:
+            squares.append((ma, mb, adds[before:]))
+        return out
+
+    monkeypatch.setattr(algebra, "_pair_sums", spy)
+    riemann, _ = load_curvature(read_curvature_file(DATA_DIR / "seeded_dim12.json"))
+    a_hat(riemann)
+    [(ma, mb, step_adds)] = squares
+    rows = algebra._TEST_CHUNK // len(mb)
+    kept = [np.count_nonzero((ma[lo:lo + rows, None] & mb) == 0) for lo in range(0, len(ma), rows)]
+    assert len(kept) == 4 and 35_000 < sum(kept) < 36_000
+    steps = sum(math.ceil(k / algebra._KEPT_CHUNK) for k in kept)
+    assert len(step_adds) == 2 * steps
+    assert sum(step_adds) == 2 * sum(kept)
+    assert max(step_adds) == algebra._KEPT_CHUNK
 
 
 def test_products_cancelling_to_zero_equal_pair_loop(monkeypatch):

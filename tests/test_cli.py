@@ -104,6 +104,18 @@ def test_index_torus_ambiguous_kernel_exits_3(capsys):
     assert "ambiguous" in err.lower()
 
 
+def test_index_torus_mass_outside_window_warns_on_one_line(capsys):
+    # the overlap counts doubler branches there, so the integers disagree
+    # (exit 1); the warning is one stderr line, the same wherever the
+    # package is installed, and repeats on every call
+    warning = ("index-torus: warning: mass 2.5 is outside the (0, 2) window, "
+               "the overlap count will include doubler branches\n")
+    for _ in range(2):
+        code, out, err = run(capsys, "index-torus", "--q", "1", "--m", "2.5")
+        assert (code, err) == (1, warning)
+        assert out.endswith("\nFAIL\n")
+
+
 def test_index_torus_refuses_oversized_lattice(capsys, monkeypatch):
     from diracindex import cli
     from diracindex.spectral import torus_case_bytes
@@ -466,12 +478,14 @@ def test_characteristic_non_finite_input_exits_4(capsys, tmp_path, text, which, 
 
 @pytest.mark.parametrize("name,which", [("two_blocks", "ahat"), ("two_blocks", "density"),
                                         ("torus_flux", "chern"), ("torus_flux", "density"),
-                                        ("seeded_dim8", "density")])
+                                        ("seeded_dim8", "density"), ("seeded_dim12", "density"),
+                                        ("seeded_dim12", "ahat")])
 def test_characteristic_json_is_pinned(capsys, monkeypatch, name, which):
     # this path calls no BLAS, so the bytes in tests/data hold on every host.
     # The demo files' products are all small enough for the dictionary loop;
-    # tests/data/seeded_dim8.json (perfbench.inputs.curvature_case at
-    # default_rng(8), dim 8) also reaches the numpy kernel
+    # tests/data/seeded_dim8.json and seeded_dim12.json
+    # (perfbench.inputs.curvature_case at default_rng(8), dim 8, and at
+    # default_rng(12), dim 12) also reach the numpy kernel
     calls = []
     kernel = algebra._pair_sums
 
@@ -480,13 +494,14 @@ def test_characteristic_json_is_pinned(capsys, monkeypatch, name, which):
         return kernel(*args)
 
     monkeypatch.setattr(algebra, "_pair_sums", spy)
-    source = DATA_DIR if name == "seeded_dim8" else DEMO_DIR
+    seeded = name.startswith("seeded")
+    source = DATA_DIR if seeded else DEMO_DIR
     pinned = DATA_DIR / f"characteristic_{name}_{which}.json"
     code, out, _ = run(capsys, "characteristic", "--file", str(source / f"{name}.json"),
                        "--which", which, "--format", "json")
     assert code == 0
     assert out == pinned.read_text(encoding="utf-8")
-    assert bool(calls) == (name == "seeded_dim8")
+    assert bool(calls) == seeded
 
 
 def test_genfun_table_converges_but_misses_target(capsys):
